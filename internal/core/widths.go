@@ -8,7 +8,12 @@ import (
 // solveWidths is the innermost loop of Procedure 2: for the supply and
 // threshold voltages already set in a, find for every gate the smallest width
 // in [WMin, WMax] whose delay meets the gate's Procedure 1 budget, by binary
-// search (delay is monotone decreasing in the gate's own width).
+// search (delay is monotone decreasing in the gate's own width). With the
+// fanout widths and the worst fanin delay fixed, the delay model is exactly
+// A + B/w in the gate's own width, so the search fits that hyperbola to its
+// two endpoint probes, replays the bisection on it and checks only the final
+// cell (optimize.MinBelowHyperbolic): the same width as probing every step,
+// at most four probes per gate instead of M+2.
 //
 // A gate's delay also depends on its fanouts' widths (load) and its fanin
 // gates' delays (slope term), so one topological sweep is not a fixed point;
@@ -57,10 +62,11 @@ func (c *evalCtx) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 				}
 			}
 			target := budget[id] * searchMargin
-			pred := func(w float64) bool {
-				return c.eng.ProbeWidth(id, a, w, maxIn) <= target
+			probe := func(w float64) float64 {
+				return c.eng.ProbeWidth(id, a, w, maxIn)
 			}
-			w, ok := optimize.MinSatisfying(wRange, mSteps, pred)
+			dBest := probe(wRange.Hi)
+			w, ok, fellBack := optimize.MinBelowHyperbolic(wRange, mSteps, probe, dBest, target)
 			if !ok {
 				// The budget is unreachable at any width (a squeezed
 				// Procedure 1 target; the paper repairs such assignments in
@@ -68,13 +74,13 @@ func (c *evalCtx) solveWidths(a *design.Assignment, mSteps, passes int) bool {
 				// 10 % of the best achievable delay instead of paying the
 				// full WMax energy; the cycle-time check below still
 				// guards the real constraint.
-				dBest := c.eng.ProbeWidth(id, a, wRange.Hi, maxIn)
-				w, _ = optimize.MinSatisfying(wRange, mSteps, func(wc float64) bool {
-					return c.eng.ProbeWidth(id, a, wc, maxIn) <= dBest*1.1
-				})
+				w, _, fellBack = optimize.MinBelowHyperbolic(wRange, mSteps, probe, dBest, dBest*1.1)
 				// The change detection below measures against the width the
 				// gate ends the search with; on this path that was WMax.
 				a.W[id] = wRange.Hi
+			}
+			if fellBack {
+				c.eng.Metrics().WidthFitFallbacks++
 			}
 			if rel := w - a.W[id]; rel > 1e-3*a.W[id] || rel < -1e-3*a.W[id] {
 				changed = true

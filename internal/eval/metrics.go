@@ -15,6 +15,10 @@ type Metrics struct {
 	DirtyGates       int64 // gates re-evaluated by incremental propagation
 	CoeffHits        int64 // device-coefficient cache hits
 	CoeffMisses      int64 // device-coefficient cache misses (transcendental work)
+	// WidthFitFallbacks counts width searches whose closed-form A + B/w fit
+	// failed its final-cell check and reran as plain bisection. The engine
+	// never sets it; the width solver bills it to the engine it probes.
+	WidthFitFallbacks int64
 }
 
 // Reset zeroes all counters.
@@ -31,4 +35,5 @@ func (m *Metrics) Add(o Metrics) {
 	m.DirtyGates += o.DirtyGates
 	m.CoeffHits += o.CoeffHits
 	m.CoeffMisses += o.CoeffMisses
+	m.WidthFitFallbacks += o.WidthFitFallbacks
 }

@@ -76,6 +76,7 @@ func (e *Engine) FlushObs() {
 	add("eval.dirty_gates", d.DirtyGates-f.DirtyGates)
 	add("eval.coeff_hits", d.CoeffHits-f.CoeffHits)
 	add("eval.coeff_misses", d.CoeffMisses-f.CoeffMisses)
+	add("eval.width_fit_fallbacks", d.WidthFitFallbacks-f.WidthFitFallbacks)
 	e.flushed = d
 
 	stats := e.cache.ShardStats()

@@ -47,8 +47,12 @@ func TestFlushObsExportsDeltas(t *testing.T) {
 	a := design.Uniform(c.N(), 1.5, 0.35, 4)
 	eng.Delays(a)
 	eng.Energy(a)
+	eng.Metrics().WidthFitFallbacks += 2 // billed by the core width solver
 	eng.FlushObs()
 
+	if v := reg.Counter("eval.width_fit_fallbacks").Value(); v != 2 {
+		t.Errorf("width_fit_fallbacks = %d, want 2", v)
+	}
 	if v := reg.Counter("eval.full_delay_sweeps").Value(); v != 1 {
 		t.Errorf("full_delay_sweeps = %d, want 1", v)
 	}

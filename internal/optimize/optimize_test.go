@@ -77,6 +77,78 @@ func TestMinSatisfyingAlwaysReturnsSatisfying(t *testing.T) {
 	}
 }
 
+// TestMinBelowHyperbolicMatchesMinSatisfying draws random non-increasing f
+// (an exact hyperbola, a hyperbola with a small monotone perturbation, an
+// exponential, a step) and targets below f(Hi), above f(Lo) and between.
+// The closed-form search must return MinSatisfying's exact (x, ok) every
+// time; it may call f at most three times unless it fell back, and the
+// off-hyperbola shapes must drive it down the fallback path.
+func TestMinBelowHyperbolicMatchesMinSatisfying(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	families := []struct {
+		name  string
+		exact bool
+		gen   func(r Range) func(float64) float64
+	}{
+		{"hyperbola", true, func(Range) func(float64) float64 {
+			a, b := rng.Float64(), 0.1+10*rng.Float64()
+			return func(x float64) float64 { return a + b/x }
+		}},
+		{"perturbed", false, func(r Range) func(float64) float64 {
+			a, b := rng.Float64(), 0.1+10*rng.Float64()
+			eps, c := 1e-3*b/r.Hi, r.Lo+rng.Float64()*r.Width()
+			return func(x float64) float64 { return a + b/x - eps*math.Tanh(x-c) }
+		}},
+		{"exp", false, func(r Range) func(float64) float64 {
+			k := (0.2 + 3*rng.Float64()) / r.Width()
+			return func(x float64) float64 { return math.Exp(-k * x) }
+		}},
+		{"step", false, func(r Range) func(float64) float64 {
+			s := r.Lo + rng.Float64()*r.Width()
+			return func(x float64) float64 {
+				if x < s {
+					return 2
+				}
+				return 1
+			}
+		}},
+	}
+	for _, fam := range families {
+		fallbacks := 0
+		for draw := 0; draw < 300; draw++ {
+			lo := 0.5 + 2*rng.Float64()
+			r := Range{Lo: lo, Hi: lo * (2 + 50*rng.Float64())}
+			steps := 1 + rng.Intn(40)
+			f := fam.gen(r)
+			fLo, fHi := f(r.Lo), f(r.Hi)
+			span := fLo - fHi
+			for _, target := range []float64{
+				fHi - 0.1*span, fHi, fHi + rng.Float64()*span, fLo, fLo + 0.1*span,
+			} {
+				calls := 0
+				counted := func(x float64) float64 { calls++; return f(x) }
+				wantX, wantOK := MinSatisfying(r, steps, func(x float64) bool { return f(x) <= target })
+				gotX, gotOK, fellBack := MinBelowHyperbolic(r, steps, counted, fHi, target)
+				if gotOK != wantOK || math.Float64bits(gotX) != math.Float64bits(wantX) {
+					t.Fatalf("%s r=%v steps=%d target=%v: got (%v, %v), MinSatisfying (%v, %v)",
+						fam.name, r, steps, target, gotX, gotOK, wantX, wantOK)
+				}
+				if fellBack {
+					fallbacks++
+				} else if calls > 3 {
+					t.Errorf("%s: %d calls of f without falling back", fam.name, calls)
+				}
+			}
+		}
+		if fam.exact && fallbacks != 0 {
+			t.Errorf("%s: %d fallbacks on an exact hyperbola", fam.name, fallbacks)
+		}
+		if !fam.exact && fallbacks == 0 {
+			t.Errorf("%s: fallback path never taken", fam.name)
+		}
+	}
+}
+
 func TestMaxSatisfying(t *testing.T) {
 	x, ok := MaxSatisfying(Range{0, 10}, 40, func(v float64) bool { return v <= 6.2 })
 	if !ok || math.Abs(x-6.2) > 1e-9 {

@@ -44,8 +44,10 @@ func (j *job) begin() bool {
 }
 
 // finish records the terminal state once; later calls are ignored (a cancel
-// racing a natural completion keeps whichever landed first).
-func (j *job) finish(state string, res *Result, err error) bool {
+// racing a natural completion keeps whichever landed first). When cache is
+// non-nil and this call wins, res is stored under the job's key before any
+// waiter is released, so a client that resubmits on completion hits it.
+func (j *job) finish(state string, res *Result, err error, cache *lru[*Result]) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
@@ -55,6 +57,9 @@ func (j *job) finish(state string, res *Result, err error) bool {
 	j.state = state
 	j.res = res
 	j.err = err
+	if cache != nil && j.key != "" {
+		cache.put(j.key, res)
+	}
 	close(j.done)
 	return true
 }

@@ -154,7 +154,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for {
 		select {
 		case j := <-s.queue:
-			if j.finish(StateCanceled, nil, context.Canceled) {
+			if j.finish(StateCanceled, nil, context.Canceled, nil) {
 				s.ncancel.Add(1)
 			}
 		default:
@@ -188,18 +188,15 @@ func (s *Server) run(j *job) {
 	res, err := s.cfg.Runner(j.ctx, j.req, s.cfg.Workers, j.reg)
 	switch {
 	case err == nil:
-		if j.finish(StateDone, res, nil) {
+		if j.finish(StateDone, res, nil, s.results) {
 			s.ndone.Add(1)
-			if j.key != "" {
-				s.results.put(j.key, res)
-			}
 		}
 	case j.ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if j.finish(StateCanceled, nil, err) {
+		if j.finish(StateCanceled, nil, err, nil) {
 			s.ncancel.Add(1)
 		}
 	default:
-		if j.finish(StateFailed, nil, err) {
+		if j.finish(StateFailed, nil, err, nil) {
 			s.nfailed.Add(1)
 		}
 	}
@@ -257,13 +254,18 @@ func (s *Server) submit(req *Request) (*job, error) {
 // newJobLocked allocates a job with its context chain and registry.
 func (s *Server) newJobLocked(req *Request, key string) *job {
 	s.nextID++
-	ctx, cancel := context.WithCancel(s.baseCtx)
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
+	// Exactly one child context of baseCtx per job, so j.cancel detaches
+	// everything the job registered there.
+	var ctx context.Context
+	var cancel context.CancelFunc
 	if timeout > 0 {
 		ctx, cancel = context.WithTimeout(s.baseCtx, timeout)
+	} else {
+		ctx, cancel = context.WithCancel(s.baseCtx)
 	}
 	return &job{
 		id:     "j" + strconv.FormatInt(s.nextID, 10),
@@ -319,7 +321,7 @@ func (s *Server) cancelJob(j *job) {
 	queued := j.state == StateQueued
 	j.mu.Unlock()
 	if queued {
-		if j.finish(StateCanceled, nil, context.Canceled) {
+		if j.finish(StateCanceled, nil, context.Canceled, nil) {
 			s.ncancel.Add(1)
 			s.obsCount("serve.canceled", 1)
 		}

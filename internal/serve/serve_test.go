@@ -203,6 +203,60 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
+// childCountingCtx is a never-canceled parent context that counts the
+// children registered on it: the context package attaches a child to a
+// parent implementing AfterFunc through that method and detaches it with the
+// returned stop func.
+type childCountingCtx struct {
+	context.Context
+	done chan struct{}
+	live atomic.Int64
+}
+
+func (c *childCountingCtx) Done() <-chan struct{} { return c.done }
+
+func (c *childCountingCtx) AfterFunc(func()) func() bool {
+	c.live.Add(1)
+	var stopped atomic.Bool
+	return func() bool {
+		if stopped.CompareAndSwap(false, true) {
+			c.live.Add(-1)
+			return true
+		}
+		return false
+	}
+}
+
+// A job's cancel func must detach everything the job hung on the server's
+// base context, timed or not; otherwise every finished job stays referenced
+// from baseCtx until shutdown.
+func TestJobCancelReleasesBaseContext(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		def       time.Duration
+		timeoutMS int
+	}{
+		{"untimed", 0, 0},
+		{"server default timeout", time.Minute, 0},
+		{"request timeout_ms", 0, 60_000},
+	} {
+		parent := &childCountingCtx{Context: context.Background(), done: make(chan struct{})}
+		s := &Server{cfg: Config{DefaultTimeout: tc.def}, baseCtx: parent}
+		j := s.newJobLocked(&Request{Circuit: "s27", TimeoutMS: tc.timeoutMS}, "")
+		if n := parent.live.Load(); n != 1 {
+			t.Errorf("%s: %d children of the base context per job, want 1", tc.name, n)
+		}
+		_, timed := j.ctx.Deadline()
+		if want := tc.def > 0 || tc.timeoutMS > 0; timed != want {
+			t.Errorf("%s: job deadline set = %v, want %v", tc.name, timed, want)
+		}
+		j.cancel()
+		if n := parent.live.Load(); n != 0 {
+			t.Errorf("%s: %d children of the base context alive after cancel", tc.name, n)
+		}
+	}
+}
+
 // Cache keying end to end: an identical request is a hit (runner not
 // invoked), a different constraint is a miss, nocache bypasses entirely.
 func TestResultCacheHitMissKeying(t *testing.T) {
