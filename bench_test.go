@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"cmosopt/internal/activity"
-	"cmosopt/internal/circuit"
 	"cmosopt/internal/core"
 	"cmosopt/internal/design"
 	"cmosopt/internal/device"
@@ -281,28 +280,6 @@ func BenchmarkAblationBudgeting(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSteering compares the paper's directional bisection with
-// the golden-section-refined search (Options.Refine), checking how much the
-// monotonicity assumption leaves on the table.
-func BenchmarkAblationSteering(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		p := problemFor(b, "s298", 0.5)
-		plain, err := p.OptimizeJoint(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		o := core.DefaultOptions()
-		o.Refine = true
-		refined, err := p.OptimizeJoint(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = plain.Energy.Total() / refined.Energy.Total()
-	}
-	b.ReportMetric(gain, "bisection/refined(x)")
-}
-
 // BenchmarkAblationWidthIteration compares the paper's literal single-pass
 // width solve (WidthPasses = 1) against the fixed-point iteration the
 // library defaults to.
@@ -409,149 +386,6 @@ func BenchmarkAblationSizingPolicy(b *testing.B) {
 		ratio = sens.Energy.Total() / budget.Energy.Total()
 	}
 	b.ReportMetric(ratio, "sensitivity/budget(x)")
-}
-
-// BenchmarkBufferInsertion measures whether capping high-fanout nets with
-// buffer trees before optimization helps: hubs concentrate criticality
-// (their FoEff dominates path budgets), and splitting them trades buffer
-// energy against drive energy. The metric is buffered/unbuffered total
-// energy (< 1 means buffering wins).
-func BenchmarkBufferInsertion(b *testing.B) {
-	var ratio float64
-	var bufs int
-	for i := 0; i < b.N; i++ {
-		c, err := netgen.Profile("s298")
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := problemFor(b, "s298", 0.5)
-		plain, err := p.OptimizeJoint(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		bc, nb, err := circuit.InsertBuffers(c, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufs = nb
-		pb, err := core.NewProblem(core.Spec{
-			Circuit: bc, Tech: device.Default350(), Wiring: wiring.Default350(),
-			Fc: 300e6, Skew: 0.95, InputProb: 0.5, InputDensity: 0.5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		buffered, err := pb.OptimizeJoint(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = buffered.Energy.Total() / plain.Energy.Total()
-	}
-	b.ReportMetric(ratio, "buffered/plain(x)")
-	b.ReportMetric(float64(bufs), "buffers")
-}
-
-// BenchmarkAblationRiseFall quantifies the paper's "symmetric pull-up /
-// pull-down" assumption: the rise/fall-resolved critical delay of the
-// joint-optimized design relative to the symmetric analysis it was timed
-// with. A ratio above 1 is margin a sign-off with asymmetric stacks would
-// demand back.
-func BenchmarkAblationRiseFall(b *testing.B) {
-	var baseRatio float64
-	var jointStuck float64
-	for i := 0; i < b.N; i++ {
-		p := problemFor(b, "s298", 0.5)
-		base, err := p.OptimizeBaseline(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseRatio = p.Eval.DelayModel().CriticalDelayRiseFall(base.Assignment) / base.CriticalDelay
-
-		joint, err := p.OptimizeJoint(core.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// At the near-threshold joint optimum, deep stacks may not switch at
-		// all once drive is divided by stack depth: count them. A nonzero
-		// count means the symmetric assumption is load-bearing there.
-		stuck := 0
-		ids, err := p.C.LogicIDs()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, id := range ids {
-			r, f := p.Eval.DelayModel().GateDelayRiseFall(id, joint.Assignment, 0)
-			if r > 1 || f > 1 { // +Inf or absurd: unswitchable
-				stuck++
-			}
-		}
-		jointStuck = float64(stuck)
-	}
-	b.ReportMetric(baseRatio, "baseline-risefall/symmetric(x)")
-	b.ReportMetric(jointStuck, "joint-unswitchable-gates")
-}
-
-// BenchmarkAblationActivityObjective asks whether the correlation-aware
-// activity engine buys the *optimizer* anything: optimize s298 under the
-// Najm objective and under the correlated objective, then judge both
-// designs by re-pricing their dynamic energy with zero-delay Monte-Carlo
-// densities (the closest thing to ground truth). A ratio below 1 means the
-// correlated objective produced the genuinely better design.
-func BenchmarkAblationActivityObjective(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		c, err := netgen.Profile("s298")
-		if err != nil {
-			b.Fatal(err)
-		}
-		mk := func(correlated bool) (*core.Problem, *core.Result) {
-			cc, err := netgen.Profile("s298")
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := core.NewProblem(core.Spec{
-				Circuit: cc, Tech: device.Default350(), Wiring: wiring.Default350(),
-				Fc: 300e6, Skew: 0.95, InputProb: 0.5, InputDensity: 0.5,
-				CorrelatedActivity: correlated,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := p.OptimizeJoint(core.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			return p, res
-		}
-		pn, najm := mk(false)
-		pc, corr := mk(true)
-
-		// Ground-truth densities from zero-delay Monte Carlo.
-		in := make(map[int]activity.InputSpec, len(c.PIs))
-		for _, id := range c.PIs {
-			in[id] = activity.InputSpec{Prob: 0.5, Density: 0.5}
-		}
-		mc, err := activity.MonteCarlo(pn.C, in, 40000, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		truth := func(p *core.Problem, res *core.Result) float64 {
-			total := res.Energy.Static
-			for gi := range p.C.Gates {
-				if !p.C.Gates[gi].IsLogic() {
-					continue
-				}
-				base := p.Eval.GateEnergy(gi, res.Assignment).Dynamic
-				if d := p.Act.Density[gi]; d > 1e-12 {
-					total += base * mc.Density[gi] / d
-				}
-			}
-			return total
-		}
-		ratio = truth(pc, corr) / truth(pn, najm)
-	}
-	b.ReportMetric(ratio, "corr-objective/najm-objective(x)")
 }
 
 // --- Micro-benchmarks of the hot analysis paths ---
@@ -692,47 +526,6 @@ func BenchmarkLandscape(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.SampleLandscape(8, 8, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkYield measures the Monte-Carlo die fan-out: per-sample RNG
-// substreams let dies land on any worker without changing the drawn bits.
-func BenchmarkYield(b *testing.B) {
-	p := problemFor(b, "s298", 0.5)
-	res, err := p.OptimizeJoint(core.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range workerSet() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.YieldStudy(res.Assignment, 0.1, 500, 42, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRefine measures Procedure 2 with the Refine polish: the 9-point
-// grid scan fans out and the middle loop evaluates speculative Vts
-// candidates when at least three workers are available.
-func BenchmarkRefine(b *testing.B) {
-	for _, w := range workerSet() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Workers = w
-			opts.Refine = true
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p := problemFor(b, "s298", 0.5)
-				b.StartTimer()
-				if _, err := p.OptimizeJoint(opts); err != nil {
 					b.Fatal(err)
 				}
 			}

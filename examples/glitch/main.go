@@ -68,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, err := sim.New(p.C, p.Eval.DelayModel(), res.Assignment)
+	s, err := sim.New(p.C, p.Eval.Delays(res.Assignment))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func main() {
 			}
 		}
 	}
-	s2, err := sim.New(p.C, p.Eval.DelayModel(), res.Assignment)
+	s2, err := sim.New(p.C, p.Eval.Delays(res.Assignment))
 	if err != nil {
 		log.Fatal(err)
 	}

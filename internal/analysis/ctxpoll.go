@@ -14,9 +14,9 @@ import (
 //
 // What counts as reaching evaluation: a direct call to an Engine
 // full-evaluation method (Delays/Arrivals/Slacks/CriticalDelay/CriticalPath/
-// Energy/MeetsBudgets), a call to a same-module function whose CallsEval
-// fact is set (computed transitively within each package — core's evalPoint
-// and everything funneling into it), or a call to a local closure whose body
+// Energy), a call to a same-module function whose CallsEval fact is set
+// (computed transitively within each package — core's evalPoint and
+// everything funneling into it), or a call to a local closure whose body
 // does either. Per-gate probes (ProbeWidth, GateDelayWith, GateDelayOverride)
 // are deliberately not "evaluation": a width-solve pass inside one candidate
 // loops over them by design and polls only at its candidate boundary.

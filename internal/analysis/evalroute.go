@@ -8,9 +8,9 @@ import (
 // EvalRoute enforces the PR 1 invariant: internal/eval is the only place
 // that constructs delay/power/device model evaluators. Every optimizer,
 // study, tool and example obtains delay and energy numbers through an
-// eval.Engine (eval.New / eval.NewDelayOnly), so the coefficient cache, the
-// evaluation-effort meter and the incremental re-timing machinery can never
-// be bypassed by a new call site.
+// eval.Engine (eval.New), so the coefficient cache, the evaluation-effort
+// meter and the incremental re-timing machinery can never be bypassed by a
+// new call site.
 //
 // Flagged, outside the model packages themselves and internal/eval:
 //
@@ -49,7 +49,7 @@ func runEvalRoute(pass *Pass) error {
 				if pathIn(path, modelPkgs...) {
 					short := path[strings.LastIndex(path, "/")+1:]
 					pass.Reportf(n.Pos(),
-						"%s.%s constructs a model evaluator outside internal/eval; route evaluation through eval.New/eval.NewDelayOnly so the engine's cache and effort meter cannot be bypassed",
+						"%s.%s constructs a model evaluator outside internal/eval; route evaluation through eval.New so the engine's cache and effort meter cannot be bypassed",
 						short, name)
 				}
 			case *ast.CompositeLit:

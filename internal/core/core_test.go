@@ -441,76 +441,6 @@ func TestEvaluationCounterMonotone(t *testing.T) {
 	}
 }
 
-func TestSampledNetsOptimization(t *testing.T) {
-	// With per-net sampled wire loads, the flow still produces a feasible
-	// design, and the result differs from the mean-wire one (the variance
-	// reaches the models).
-	s := specFor(s298(t), 0.5)
-	s.SampleNets = true
-	s.NetSeed = 9
-	p, err := NewProblem(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("sampled-net optimization infeasible")
-	}
-	mean := problemFor(t, s298(t), 0.5)
-	meanRes, err := mean.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Energy.Total() == meanRes.Energy.Total() {
-		t.Error("sampled wire loads had no effect on the optimum")
-	}
-	// Same order of magnitude: sampling redistributes load, not its total.
-	r := res.Energy.Total() / meanRes.Energy.Total()
-	if r < 0.5 || r > 2 {
-		t.Errorf("sampled/mean energy ratio %v outside [0.5,2]", r)
-	}
-}
-
-func TestCorrelatedActivityOption(t *testing.T) {
-	s := specFor(s298(t), 0.5)
-	s.CorrelatedActivity = true
-	p, err := NewProblem(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatal("correlated-activity optimization infeasible")
-	}
-	// The corrected (generally lower) activities shift the reported energy
-	// relative to the independence profile.
-	indep := problemFor(t, s298(t), 0.5)
-	indepRes, err := indep.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Energy.Total() == indepRes.Energy.Total() {
-		t.Error("correlated activities had no effect")
-	}
-	// Oversized circuits are rejected, not silently blown up.
-	big := specFor(s298(t), 0.5)
-	big.CorrelatedActivity = true
-	c85, err := netgen.Profile85("c2670")
-	if err != nil {
-		t.Fatal(err)
-	}
-	big.Circuit = c85
-	if _, err := NewProblem(big); err == nil {
-		t.Error("oversized correlated-activity circuit accepted")
-	}
-}
-
 func TestTechnologyScalingImprovesEnergy(t *testing.T) {
 	// The same circuit at the scaled node (0.25 µm): smaller capacitances
 	// and better drive must yield a lower-energy joint optimum at the same

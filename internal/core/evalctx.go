@@ -97,23 +97,11 @@ type pointRes struct {
 	ok bool
 }
 
-// scanPoints evaluates a list of (V_dd, V_TS) candidates — grid cells, line
-// scans — and returns results in input order, billing all of the work.
-func (p *Problem) scanPoints(workers int, pts [][2]float64, o *Options) []pointRes {
-	out := make([]pointRes, len(pts))
-	p.mapEval(workers, len(pts), func(c *evalCtx, i int) {
-		e, a, ok := c.evalPoint(pts[i][0], pts[i][1], o)
-		out[i] = pointRes{e, a, ok}
-	})
-	return out
-}
-
 // specPoints evaluates a small batch of candidates concurrently, one fresh
 // engine clone per candidate, and returns the results together with each
-// candidate's own effort snapshot. Unlike scanPoints nothing is billed here:
-// speculative drivers bill only the candidates the serial walk would have
-// evaluated, which keeps reported evaluation counts byte-identical at any
-// worker count.
+// candidate's own effort snapshot. Nothing is billed here: speculative
+// drivers bill only the candidates the serial walk would have evaluated,
+// which keeps reported evaluation counts byte-identical at any worker count.
 func (p *Problem) specPoints(pts [][2]float64, o *Options) ([]pointRes, []eval.Metrics) {
 	out := make([]pointRes, len(pts))
 	mets := make([]eval.Metrics, len(pts))

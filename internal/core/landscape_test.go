@@ -70,99 +70,3 @@ func TestLandscapeMinNearProcedure2Optimum(t *testing.T) {
 		t.Errorf("Procedure 2 result %v much worse than grid minimum %v", res.Energy.Total(), e)
 	}
 }
-
-func TestPolishNelderMeadNeverWorse(t *testing.T) {
-	p := problemFor(t, s298(t), 0.5)
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	polished, err := p.PolishNelderMead(res, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if polished.Energy.Total() > res.Energy.Total()*(1+1e-9) {
-		t.Errorf("NM polish made it worse: %v vs %v", polished.Energy.Total(), res.Energy.Total())
-	}
-	if !polished.Feasible {
-		t.Error("polished result infeasible")
-	}
-}
-
-func TestYieldStudyBasics(t *testing.T) {
-	p := problemFor(t, smallCircuit(t), 0.5)
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zero variation: every die identical, full yield.
-	y0, err := p.YieldStudy(res.Assignment, 0, 50, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y0.TimingYield != 1 {
-		t.Errorf("zero-sigma yield %v, want 1", y0.TimingYield)
-	}
-	if math.Abs(y0.MeanEnergy-res.Energy.Total())/res.Energy.Total() > 1e-9 {
-		t.Errorf("zero-sigma mean energy %v != %v", y0.MeanEnergy, res.Energy.Total())
-	}
-	// Growing variation cannot raise the yield.
-	y10, err := p.YieldStudy(res.Assignment, 0.10, 300, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y25, err := p.YieldStudy(res.Assignment, 0.25, 300, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y25.TimingYield > y10.TimingYield+0.02 {
-		t.Errorf("yield rose with sigma: %v -> %v", y10.TimingYield, y25.TimingYield)
-	}
-	if y10.P95Energy < y10.MeanEnergy {
-		t.Errorf("P95 %v below mean %v", y10.P95Energy, y10.MeanEnergy)
-	}
-}
-
-func TestCornerOptimizedDesignYieldsBetter(t *testing.T) {
-	// The Figure 2(a) methodology's point, statistically: a design optimized
-	// under ±20 % worst-case corners must survive random ±7 % variation at
-	// least as often as the nominal design.
-	p := problemFor(t, s298(t), 0.5)
-	nominal, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := DefaultOptions()
-	o.VtTimingFactor = 1.2
-	o.VtPowerFactor = 0.8
-	guarded, err := p.OptimizeJoint(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const sigma = 0.07
-	yNom, err := p.YieldStudy(nominal.Assignment, sigma, 400, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yGuard, err := p.YieldStudy(guarded.Assignment, sigma, 400, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if yGuard.TimingYield < yNom.TimingYield-0.02 {
-		t.Errorf("corner-optimized yield %v below nominal %v", yGuard.TimingYield, yNom.TimingYield)
-	}
-}
-
-func TestYieldStudyValidation(t *testing.T) {
-	p := problemFor(t, smallCircuit(t), 0.5)
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.YieldStudy(res.Assignment, -0.1, 10, 1, 1); err == nil {
-		t.Error("negative sigma accepted")
-	}
-	if _, err := p.YieldStudy(res.Assignment, 0.1, 0, 1, 1); err == nil {
-		t.Error("zero samples accepted")
-	}
-}

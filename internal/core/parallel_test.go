@@ -44,28 +44,6 @@ func TestSampleLandscapeWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestYieldStudyWorkerInvariance(t *testing.T) {
-	p := problemFor(t, smallCircuit(t), 0.5)
-	res, err := p.OptimizeJoint(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref *YieldResult
-	for _, w := range workerCounts() {
-		y, err := p.YieldStudy(res.Assignment, 0.1, 100, 42, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if ref == nil {
-			ref = y
-			continue
-		}
-		if *y != *ref {
-			t.Errorf("workers=%d: yield result %+v differs from serial %+v", w, y, ref)
-		}
-	}
-}
-
 func TestOptimizeJointRefineWorkerInvariance(t *testing.T) {
 	c := smallCircuit(t)
 	var ref *Result
@@ -73,7 +51,6 @@ func TestOptimizeJointRefineWorkerInvariance(t *testing.T) {
 		p := problemFor(t, c, 0.5)
 		opts := DefaultOptions()
 		opts.Workers = w
-		opts.Refine = true
 		res, err := p.OptimizeJoint(opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)

@@ -37,25 +37,6 @@ type Spec struct {
 	InputDensity float64                       //cmosvet:unit 1
 	Inputs       map[string]activity.InputSpec // optional override
 
-	// Budget repair parameters (see timing.RepairBudgets). Zero values take
-	// the defaults kappa = 0.16, gamma = 0.75, which track the delay model's
-	// slope coefficient over the search range.
-	RepairKappa float64 //cmosvet:unit 1
-	RepairGamma float64 //cmosvet:unit 1
-
-	// SampleNets draws an individual wire length per net from the full
-	// Davis distribution (deterministically from NetSeed) instead of using
-	// the distribution's mean for every net — wire-load variance then
-	// reaches the delay and energy models.
-	SampleNets bool
-	NetSeed    int64
-
-	// CorrelatedActivity replaces the first-order Najm propagation with the
-	// correlation-coefficient engine (the paper's [11] direction) for both
-	// signal probabilities and transition densities. Quadratic memory in the
-	// circuit size; limited to module-scale networks (≤ ~1000 gates).
-	CorrelatedActivity bool
-
 	// Obs, when non-nil, collects timing spans, evaluation counters and
 	// worker utilization for this problem and every optimizer run on it.
 	// Purely observational: attaching a registry never changes any result.
@@ -69,6 +50,14 @@ type Spec struct {
 	// never steer.
 	Ctx context.Context
 }
+
+// Budget repair parameters (see timing.RepairBudgets). They track the delay
+// model's slope coefficient over the search range (≈0.08–0.16 for this
+// technology's α).
+const (
+	repairKappa = 0.16 //cmosvet:unit 1
+	repairGamma = 0.75 //cmosvet:unit 1
+)
 
 // Problem is a fully elaborated optimization instance: combinational circuit,
 // activity profile, wiring model, the evaluation engine, and per-gate delay
@@ -160,25 +149,11 @@ func NewProblem(s Spec) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.CorrelatedActivity {
-		const corrGateLimit = 1000 // O(signals²) memory beyond this
-		if n := c.NumLogic(); n > corrGateLimit {
-			return nil, fmt.Errorf("core: correlated activity limited to %d gates, circuit has %d", corrGateLimit, n)
-		}
-		corr, err := activity.CorrelatedProbabilities(c, specs)
-		if err != nil {
-			return nil, err
-		}
-		act = &activity.Profile{Prob: corr.Prob, Density: corr.Density}
-	}
 	actT.Stop()
 
 	wire, err := wiring.New(s.Wiring, max(c.NumLogic(), 1))
 	if err != nil {
 		return nil, err
-	}
-	if s.SampleNets {
-		wire.SampleNets(c.N(), s.NetSeed)
 	}
 	ta, err := timing.NewAnalysis(c)
 	if err != nil {
@@ -191,16 +166,7 @@ func NewProblem(s Spec) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Defaults track the slope coefficient of the delay model over the
-	// search range (≈0.08–0.16 for this technology's α).
-	kappa, gamma := s.RepairKappa, s.RepairGamma
-	if kappa == 0 {
-		kappa = 0.16
-	}
-	if gamma == 0 {
-		gamma = 0.75
-	}
-	if _, err := timing.RepairBudgets(ta, bres, kappa, gamma); err != nil {
+	if _, err := timing.RepairBudgets(ta, bres, repairKappa, repairGamma); err != nil {
 		return nil, err
 	}
 	p1T.Stop()

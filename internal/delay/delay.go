@@ -1,5 +1,7 @@
 // Package delay implements the paper's Appendix A.2 transregional gate-delay
-// model and static timing analysis on top of it.
+// model. Production sweeps run in internal/eval; the whole-circuit methods
+// here (Delays, Arrivals, CriticalDelay, Slacks) are the flat-walk reference
+// the engine's tests compare against.
 //
 // The worst-case propagation delay of gate i is the sum of four components
 // (Eq. A3):
@@ -143,10 +145,9 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 	// Slope component.
 	td := k.Slope * maxFaninDelay
 
-	// Switching component: total output load over net drive current. The
-	// wire contribution is this gate's own net (per-net after SampleNets).
+	// Switching component: total output load over net drive current.
 	load := w * t.CPD
-	cb := e.Wire.BranchCapNet(id)
+	cb := e.Wire.BranchCap()
 	for _, f := range g.Fanout {
 		wf := a.W[f]
 		if f == ov {
@@ -160,8 +161,8 @@ func (e *Evaluator) GateDelayAt(id int, a *design.Assignment, w float64, ov int,
 	td += vdd * load / (2 * w * drive)
 
 	// Interconnect component: worst fanout branch RC plus time of flight.
-	rb := e.Wire.BranchResNet(id)
-	fl := e.Wire.FlightTimeNet(id)
+	rb := e.Wire.BranchRes()
+	fl := e.Wire.FlightTime()
 	worst := 0.0
 	for _, f := range g.Fanout {
 		wf := a.W[f]
@@ -243,43 +244,6 @@ func (e *Evaluator) CriticalDelay(a *design.Assignment) float64 {
 	return worst
 }
 
-// CriticalPath returns the gate IDs of a worst path (inputs included, in
-// input-to-output order) and its delay.
-//
-//cmosvet:unit return2 s
-func (e *Evaluator) CriticalPath(a *design.Assignment) ([]int, float64) {
-	arr, _ := e.Arrivals(a)
-	worstID, worst := -1, math.Inf(-1)
-	for _, id := range e.C.POs {
-		if arr[id] > worst {
-			worst, worstID = arr[id], id
-		}
-	}
-	if worstID < 0 {
-		return nil, 0
-	}
-	var rev []int
-	for id := worstID; ; {
-		rev = append(rev, id)
-		g := e.C.Gate(id)
-		if len(g.Fanin) == 0 {
-			break
-		}
-		next, best := g.Fanin[0], math.Inf(-1)
-		for _, f := range g.Fanin {
-			if arr[f] > best {
-				best, next = arr[f], f
-			}
-		}
-		id = next
-	}
-	// Reverse to input-to-output order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, worst
-}
-
 // Slacks runs a full required-time analysis against the cycle budget T:
 // slack[i] = required[i] − arrival[i], where required times propagate
 // backward from T at every primary output. Negative slack marks gates on
@@ -312,21 +276,4 @@ func (e *Evaluator) Slacks(a *design.Assignment, T float64) []float64 {
 		slack[i] = req[i] - arr[i]
 	}
 	return slack
-}
-
-// MeetsBudgets reports whether every gate's delay is within its per-gate
-// budget (+Inf budgets always pass; Input gates are skipped).
-//
-//cmosvet:unit budget s
-func (e *Evaluator) MeetsBudgets(a *design.Assignment, budget []float64) bool {
-	td := e.Delays(a)
-	for i := range e.C.Gates {
-		if !e.C.Gates[i].IsLogic() {
-			continue
-		}
-		if td[i] > budget[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -42,7 +42,7 @@ type coeffShard struct {
 // CoeffCache is a concurrency-safe map from (V_dd, V_TS) to the device
 // coefficients of that operating point, shared by an engine and its clones.
 // Each shard is cleared (not grown without bound) when it exceeds its slice
-// of maxCoeffEntries — Monte-Carlo studies draw unbounded fresh pairs.
+// of maxCoeffEntries — threshold sweeps can present unbounded fresh pairs.
 type CoeffCache struct {
 	shards [coeffShards]coeffShard
 }
@@ -66,6 +66,7 @@ func (cc *CoeffCache) shardFor(k coeffKey) *coeffShard {
 }
 
 // lookup returns the cached coefficients of k, if present.
+//
 //cmosvet:hotpath
 func (cc *CoeffCache) lookup(k coeffKey) (delay.Coeffs, bool) {
 	s := cc.shardFor(k)
@@ -81,6 +82,7 @@ func (cc *CoeffCache) lookup(k coeffKey) (delay.Coeffs, bool) {
 }
 
 // store inserts the coefficients of k, clearing the shard first when full.
+//
 //cmosvet:hotpath
 func (cc *CoeffCache) store(k coeffKey, c delay.Coeffs) {
 	s := cc.shardFor(k)

@@ -32,8 +32,8 @@
 package eval
 
 import (
-	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"cmosopt/internal/activity"
@@ -46,8 +46,8 @@ import (
 )
 
 // maxCoeffEntries bounds the shared coefficient cache. Optimizers visit a
-// handful of voltage pairs per run, but Monte-Carlo studies draw a fresh V_TS
-// per gate per die; a shard that fills is cleared rather than grown without
+// handful of voltage pairs per run, but a caller sweeping thresholds can
+// present any number; a shard that fills is cleared rather than grown without
 // bound (see clone.go).
 const maxCoeffEntries = 4096
 
@@ -66,7 +66,7 @@ type Engine struct {
 	Fc   float64 //cmosvet:unit Hz
 
 	dm *delay.Evaluator
-	pm *power.Evaluator // nil for a delay-only engine
+	pm *power.Evaluator
 
 	cs       *circuit.CSR // levelized struct-of-arrays view, shared by clones
 	numLogic int
@@ -86,13 +86,13 @@ type Engine struct {
 	slack []float64 //cmosvet:unit s
 
 	// Tracked state for incremental evaluation (see incremental.go).
-	bound  *design.Assignment
-	curTd  []float64 //cmosvet:unit s
-	curArr []float64 //cmosvet:unit s
-	stE    []float64 //cmosvet:unit J
-	dyE    []float64 //cmosvet:unit J
-	dirty         []int // binary heap of gate IDs ordered by rank
-	inDirty       []bool
+	bound   *design.Assignment
+	curTd   []float64 //cmosvet:unit s
+	curArr  []float64 //cmosvet:unit s
+	stE     []float64 //cmosvet:unit J
+	dyE     []float64 //cmosvet:unit J
+	dirty   []int     // binary heap of gate IDs ordered by rank
+	inDirty []bool
 
 	met Metrics
 
@@ -100,7 +100,7 @@ type Engine struct {
 	// perspective: nothing here feeds back into any result.
 	sink    *obsSink
 	flushed Metrics // Metrics already exported by FlushObs
-	primary bool    // set by New/NewDelayOnly, false on clones (see FlushObs)
+	primary bool    // set by New, false on clones (see FlushObs)
 }
 
 // New builds the evaluation engine for a combinational circuit, constructing
@@ -108,25 +108,11 @@ type Engine struct {
 //
 //cmosvet:unit fc Hz
 func New(c *circuit.Circuit, tech *device.Tech, act *activity.Profile, wire *wiring.Model, fc float64) (*Engine, error) {
-	e, err := NewDelayOnly(c, tech, wire)
+	dm, err := delay.New(c, tech, wire)
 	if err != nil {
 		return nil, err
 	}
 	pm, err := power.New(c, tech, act, wire, fc)
-	if err != nil {
-		return nil, err
-	}
-	e.Act = act
-	e.Fc = fc
-	e.pm = pm
-	return e, nil
-}
-
-// NewDelayOnly builds an engine without an energy model (no activity profile
-// or clock needed) — enough for timing-only consumers such as the logic
-// simulator's tests. Energy methods panic on a delay-only engine.
-func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*Engine, error) {
-	dm, err := delay.New(c, tech, wire)
 	if err != nil {
 		return nil, err
 	}
@@ -137,8 +123,11 @@ func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*E
 	return &Engine{
 		C:        c,
 		Tech:     tech,
+		Act:      act,
 		Wire:     wire,
+		Fc:       fc,
 		dm:       dm,
+		pm:       pm,
 		cs:       cs,
 		numLogic: c.NumLogic(),
 		cache:    NewCoeffCache(),
@@ -147,13 +136,6 @@ func NewDelayOnly(c *circuit.Circuit, tech *device.Tech, wire *wiring.Model) (*E
 		arr:      make([]float64, c.N()),
 	}, nil
 }
-
-// DelayModel exposes the underlying pure delay evaluator for model-level
-// analyses the engine does not cache (rise/fall resolution, the simulator).
-func (e *Engine) DelayModel() *delay.Evaluator { return e.dm }
-
-// PowerModel exposes the underlying pure energy evaluator.
-func (e *Engine) PowerModel() *power.Evaluator { return e.pm }
 
 // Metrics returns the engine's evaluation counters.
 func (e *Engine) Metrics() *Metrics { return &e.met }
@@ -281,7 +263,7 @@ func (e *Engine) delaysInto(dst []float64, a *design.Assignment) {
 	for l := 1; l < cs.NumLevels(); l++ {
 		for _, id := range cs.LevelGates(l) {
 			if !cs.IsLogic[id] {
-				dst[id] = 0 // a feed-forward DFF in a delay-only engine
+				dst[id] = 0 // non-logic gates have zero delay
 				continue
 			}
 			maxIn := 0.0
@@ -360,14 +342,39 @@ func (e *Engine) CriticalDelay(a *design.Assignment) float64 {
 	return worst
 }
 
-// CriticalPath returns the gate IDs of a worst path and its delay
-// (delegated to the model evaluator; this path is not performance-critical).
+// CriticalPath returns the gate IDs of a worst path (inputs included, in
+// input-to-output order) and its delay: one full sweep, then a backtrack over
+// the arrival scratch along each gate's latest-arriving fanin.
 //
 //cmosvet:unit return2 s
 func (e *Engine) CriticalPath(a *design.Assignment) ([]int, float64) {
-	e.met.FullDelaySweeps++
-	e.met.GateDelayCalls += int64(e.numLogic)
-	return e.dm.CriticalPath(a)
+	arr, _ := e.Arrivals(a)
+	worstID, worst := -1, math.Inf(-1)
+	for _, id := range e.C.POs {
+		if arr[id] > worst {
+			worst, worstID = arr[id], id
+		}
+	}
+	if worstID < 0 {
+		return nil, 0
+	}
+	var path []int
+	for id := int32(worstID); ; {
+		path = append(path, int(id))
+		fanin := e.cs.Fanins(id)
+		if len(fanin) == 0 {
+			break
+		}
+		next, best := fanin[0], math.Inf(-1)
+		for _, f := range fanin {
+			if arr[f] > best {
+				best, next = arr[f], f
+			}
+		}
+		id = next
+	}
+	slices.Reverse(path)
+	return path, worst
 }
 
 // Slacks runs a full required-time analysis against the cycle budget T into
@@ -423,24 +430,11 @@ func (e *Engine) slacksFrom(td, arr []float64, T float64) []float64 {
 	return e.slack
 }
 
-// MeetsBudgets reports whether every logic gate's delay is within its
-// per-gate budget, allocation-free.
+// GateEnergy returns the per-cycle energy breakdown of one gate, evaluated
+// through the coefficient cache.
 //
 //cmosvet:hotpath
-//cmosvet:unit budget s
-func (e *Engine) MeetsBudgets(a *design.Assignment, budget []float64) bool {
-	e.delaysInto(e.td, a)
-	for i, logic := range e.cs.IsLogic {
-		if logic && e.td[i] > budget[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// gateEnergy evaluates one gate's energy through the coefficient cache.
-//cmosvet:hotpath
-func (e *Engine) gateEnergy(id int, a *design.Assignment) power.Breakdown {
+func (e *Engine) GateEnergy(id int, a *design.Assignment) power.Breakdown {
 	if !e.cs.IsLogic[id] {
 		return power.Breakdown{}
 	}
@@ -449,21 +443,15 @@ func (e *Engine) gateEnergy(id int, a *design.Assignment) power.Breakdown {
 	return e.pm.GateEnergyCoeff(id, a, k.Ioff)
 }
 
-// GateEnergy returns the per-cycle energy breakdown of one gate.
-func (e *Engine) GateEnergy(id int, a *design.Assignment) power.Breakdown {
-	e.mustPower()
-	return e.gateEnergy(id, a)
-}
-
 // Energy returns the whole-network per-cycle energy breakdown (the paper's
 // cost function Σ E_si + E_di), evaluated through the coefficient cache.
+//
 //cmosvet:hotpath
 func (e *Engine) Energy(a *design.Assignment) power.Breakdown {
-	e.mustPower()
 	e.met.FullEnergySweeps++
 	var sum power.Breakdown
 	for i := range e.C.Gates {
-		sum.Add(e.gateEnergy(i, a))
+		sum.Add(e.GateEnergy(i, a))
 	}
 	return sum
 }
@@ -473,12 +461,5 @@ func (e *Engine) Energy(a *design.Assignment) power.Breakdown {
 //
 //cmosvet:unit return W
 func (e *Engine) AvgPower(b power.Breakdown) float64 {
-	e.mustPower()
 	return e.pm.Power(b)
-}
-
-func (e *Engine) mustPower() {
-	if e.pm == nil {
-		panic(fmt.Sprintf("eval: engine for %q was built with NewDelayOnly; energy is unavailable", e.C.Name))
-	}
 }

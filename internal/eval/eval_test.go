@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cmosopt/internal/activity"
@@ -40,7 +41,6 @@ func buildCase(t testing.TB, seed int64) (*circuit.Circuit, *Engine, *delay.Eval
 	if err != nil {
 		t.Fatalf("wiring: %v", err)
 	}
-	wire.SampleNets(c.N(), seed)
 	eng, err := New(c, &tech, act, wire, 100e6)
 	if err != nil {
 		t.Fatalf("eval.New: %v", err)
@@ -181,9 +181,9 @@ func TestCoeffCache(t *testing.T) {
 func TestCoeffCacheOverflowClears(t *testing.T) {
 	c, eng, _, _ := buildCase(t, 5)
 	a := design.Uniform(c.N(), 1.5, 0.35, 4)
-	// Drive far past the cap with distinct voltage pairs (the Monte-Carlo
-	// yield pattern); the cache must stay bounded and keep answering. The
-	// named base and step keep the swept thresholds in volts.
+	// Drive far past the cap with distinct voltage pairs; the cache must
+	// stay bounded and keep answering. The named base and step keep the
+	// swept thresholds in volts.
 	for i := 0; i < maxCoeffEntries+100; i++ {
 		vts := vtsBase + vtsStep*float64(i)
 		a.SetVts(vts)
@@ -194,21 +194,57 @@ func TestCoeffCacheOverflowClears(t *testing.T) {
 	}
 }
 
-func TestDelayOnlyEnginePanicsOnEnergy(t *testing.T) {
-	c, full, dm, _ := buildCase(t, 6)
-	tech := device.Default350()
-	eng, err := NewDelayOnly(c, &tech, full.Wire)
+func TestCriticalPathConsistent(t *testing.T) {
+	eng, _ := levelizedCase(t, "s298", 0)
+	c := eng.C
+	dm, err := delay.New(c, eng.Tech, eng.Wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := design.Uniform(c.N(), 1.5, 0.35, 4)
-	if got, want := eng.CriticalDelay(a), dm.CriticalDelay(a); got != want {
-		t.Fatalf("delay-only critical delay: got %v, want %v", got, want)
+	a := design.Uniform(c.N(), 1.0, 0.25, 2)
+	path, cd := eng.CriticalPath(a)
+	if len(path) < 2 {
+		t.Fatalf("degenerate path %v", path)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Energy on a delay-only engine should panic")
+	if want := dm.CriticalDelay(a); cd != want {
+		t.Errorf("path delay %v != model critical delay %v", cd, want)
+	}
+	// Every step follows a fanin edge to the driver's latest-arriving fanin.
+	arr, _ := dm.Arrivals(a)
+	for i := 1; i < len(path); i++ {
+		isFanin, latest := false, math.Inf(-1)
+		for _, f := range c.Gates[path[i]].Fanin {
+			isFanin = isFanin || f == path[i-1]
+			latest = math.Max(latest, arr[f])
 		}
-	}()
-	eng.Energy(a)
+		if !isFanin {
+			t.Fatalf("path step %d->%d is not an edge", path[i-1], path[i])
+		}
+		if arr[path[i-1]] != latest {
+			t.Fatalf("path step %d->%d skips a later-arriving fanin", path[i-1], path[i])
+		}
+	}
+	if c.Gates[path[0]].Type != circuit.Input {
+		t.Error("path does not start at an input")
+	}
+	if !slices.Contains(c.POs, path[len(path)-1]) {
+		t.Error("path does not end at a PO")
+	}
+}
+
+// CriticalPath is one full sweep plus a graph backtrack, so it must bill the
+// effort meter exactly as CriticalDelay does, with a cold cache and a warm one.
+func TestCriticalPathBillsLikeCriticalDelay(t *testing.T) {
+	c, engDelay, _, _ := buildCase(t, 6)
+	_, engPath, _, _ := buildCase(t, 6)
+	a := design.Uniform(c.N(), 1.5, 0.35, 4)
+	for _, state := range []string{"cold", "warm"} {
+		engDelay.Metrics().Reset()
+		engDelay.CriticalDelay(a)
+		engPath.Metrics().Reset()
+		engPath.CriticalPath(a)
+		if got, want := *engPath.Metrics(), *engDelay.Metrics(); got != want {
+			t.Errorf("%s cache: CriticalPath billed %+v, CriticalDelay %+v", state, got, want)
+		}
+	}
 }

@@ -41,8 +41,6 @@ func (e *Engine) Bind(a *design.Assignment) {
 		e.curArr = make([]float64, n)
 		e.inDirty = make([]bool, n)
 		e.dirty = make([]int, 0, 64)
-	}
-	if e.pm != nil && e.stE == nil {
 		e.stE = make([]float64, n)
 		e.dyE = make([]float64, n)
 	}
@@ -56,22 +54,22 @@ func (e *Engine) Unbind() { e.bound = nil }
 func (e *Engine) Bound() *design.Assignment { return e.bound }
 
 // refreshAll recomputes the whole tracked state from the bound assignment.
+//
 //cmosvet:hotpath
 func (e *Engine) refreshAll() {
 	a := e.bound
 	e.delaysInto(e.curTd, a)
 	e.arrivalsInto(e.curArr, e.curTd)
-	if e.pm != nil {
-		for i := range e.C.Gates {
-			e.refreshEnergy(i)
-		}
+	for i := range e.C.Gates {
+		e.refreshEnergy(i)
 	}
 }
 
 // refreshEnergy re-prices one gate's energy into the tracked arrays.
+//
 //cmosvet:hotpath
 func (e *Engine) refreshEnergy(id int) {
-	b := e.gateEnergy(id, e.bound)
+	b := e.GateEnergy(id, e.bound)
 	e.stE[id], e.dyE[id] = b.Static, b.Dynamic
 }
 
@@ -92,14 +90,10 @@ func (e *Engine) SetWidth(id int, w float64) {
 	for _, f := range e.cs.Fanins(int32(id)) {
 		if e.cs.IsLogic[f] {
 			e.push(int(f))
-			if e.pm != nil {
-				e.refreshEnergy(int(f))
-			}
+			e.refreshEnergy(int(f))
 		}
 	}
-	if e.pm != nil {
-		e.refreshEnergy(id)
-	}
+	e.refreshEnergy(id)
 	e.propagate()
 }
 
@@ -116,9 +110,7 @@ func (e *Engine) SetGateVts(id int, vts float64) {
 	a.Vts[id] = vts
 	e.met.IncrementalEdits++
 	e.push(id)
-	if e.pm != nil {
-		e.refreshEnergy(id)
-	}
+	e.refreshEnergy(id)
 	e.propagate()
 }
 
@@ -178,9 +170,9 @@ func (e *Engine) BoundCriticalDelay() float64 {
 // BoundEnergy returns the tracked whole-network energy breakdown, summed in
 // gate-index order so the result is bitwise identical to Energy on the same
 // assignment.
+//
 //cmosvet:hotpath
 func (e *Engine) BoundEnergy() power.Breakdown {
-	e.mustPower()
 	var sum power.Breakdown
 	for i := range e.stE {
 		sum.Static += e.stE[i]
@@ -190,9 +182,9 @@ func (e *Engine) BoundEnergy() power.Breakdown {
 }
 
 // BoundGateEnergy returns the tracked energy breakdown of one gate.
+//
 //cmosvet:hotpath
 func (e *Engine) BoundGateEnergy(id int) power.Breakdown {
-	e.mustPower()
 	return power.Breakdown{Static: e.stE[id], Dynamic: e.dyE[id]}
 }
 
@@ -208,6 +200,7 @@ func (e *Engine) BoundSlacks(T float64) []float64 {
 }
 
 // push adds a gate to the dirty heap unless it is already queued.
+//
 //cmosvet:hotpath
 func (e *Engine) push(id int) {
 	if e.inDirty[id] {
@@ -229,6 +222,7 @@ func (e *Engine) push(id int) {
 }
 
 // pop removes and returns the dirty gate with the smallest topological rank.
+//
 //cmosvet:hotpath
 func (e *Engine) pop() int {
 	d, r := e.dirty, e.cs.Rank
@@ -262,6 +256,7 @@ func (e *Engine) pop() int {
 // gate's delay or arrival changed. Rank ordering guarantees each gate is
 // processed at most once per drain: pops are nondecreasing in rank and every
 // push targets a strictly higher rank than the gate that caused it.
+//
 //cmosvet:hotpath
 func (e *Engine) propagate() {
 	a := e.bound

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cmosopt/internal/activity"
+	"cmosopt/internal/delay"
 	"cmosopt/internal/design"
 	"cmosopt/internal/device"
 	"cmosopt/internal/netgen"
@@ -54,7 +55,10 @@ func levelizedCase(t *testing.T, name string, seed int64) (*Engine, int) {
 
 func checkLevelizedAgreesWithFlatWalk(t *testing.T, eng *Engine, n int, label string) {
 	t.Helper()
-	dm := eng.DelayModel()
+	dm, err := delay.New(eng.C, eng.Tech, eng.Wire)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pt := range []struct{ vdd, vts, w float64 }{
 		{1.0, 0.15, 2},
 		{2.5, 0.45, 8},

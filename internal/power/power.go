@@ -110,7 +110,7 @@ func (e *Evaluator) GateEnergyCoeff(id int, a *design.Assignment, ioff float64) 
 //cmosvet:unit return F
 func (e *Evaluator) OutputLoad(id int, a *design.Assignment) float64 {
 	g := e.C.Gate(id)
-	cb := e.Wire.BranchCapNet(id) // the net this gate drives
+	cb := e.Wire.BranchCap()
 	load := 0.0
 	for _, f := range g.Fanout {
 		load += a.W[f]*e.Tech.Ct + cb

@@ -9,20 +9,20 @@
 //     real transitions under a delay model, exposing the glitch power that
 //     zero-delay analysis misses.
 //
-// Gates switch with the per-gate delays of a design.Assignment as evaluated
-// by the delay model (inertial delay: a scheduled output change is cancelled
-// when the gate re-evaluates to its present value before the change lands).
+// Gates switch with per-gate delays supplied by the caller, normally an
+// eval.Engine's Delays for a design.Assignment (inertial delay: a scheduled
+// output change is cancelled when the gate re-evaluates to its present value
+// before the change lands).
 package sim
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"cmosopt/internal/activity"
 	"cmosopt/internal/circuit"
-	"cmosopt/internal/delay"
-	"cmosopt/internal/design"
 )
 
 // Simulator drives one circuit with per-gate delays fixed at construction.
@@ -47,10 +47,10 @@ type event struct {
 	val  bool
 }
 
-// New builds a simulator over the circuit with the delays that the given
-// assignment produces under the delay evaluator. All nodes start at logic 0
-// with no scheduled events; use Settle after setting initial inputs.
-func New(c *circuit.Circuit, de *delay.Evaluator, a *design.Assignment) (*Simulator, error) {
+// New builds a simulator over the circuit with per-gate delays td (s), which
+// it copies: td may be engine scratch. All nodes start at logic 0 with no
+// scheduled events; use Settle after setting initial inputs.
+func New(c *circuit.Circuit, td []float64) (*Simulator, error) {
 	if c.IsSequential() {
 		return nil, fmt.Errorf("sim: circuit %q is sequential; cut DFFs first", c.Name)
 	}
@@ -58,7 +58,9 @@ func New(c *circuit.Circuit, de *delay.Evaluator, a *design.Assignment) (*Simula
 	if err != nil {
 		return nil, err
 	}
-	td := de.Delays(a)
+	if len(td) != c.N() {
+		return nil, fmt.Errorf("sim: %d delays for %d gates", len(td), c.N())
+	}
 	for i, d := range td {
 		if c.Gates[i].IsLogic() && !(d > 0) {
 			return nil, fmt.Errorf("sim: gate %q has non-positive delay %v", c.Gates[i].Name, d)
@@ -66,7 +68,7 @@ func New(c *circuit.Circuit, de *delay.Evaluator, a *design.Assignment) (*Simula
 	}
 	s := &Simulator{
 		c:       c,
-		td:      td,
+		td:      slices.Clone(td),
 		order:   order,
 		val:     make([]bool, c.N()),
 		pending: make([]int, c.N()),

@@ -2,11 +2,11 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cmosopt/internal/activity"
 	"cmosopt/internal/circuit"
-	"cmosopt/internal/delay"
 	"cmosopt/internal/design"
 	"cmosopt/internal/device"
 	"cmosopt/internal/eval"
@@ -14,24 +14,33 @@ import (
 	"cmosopt/internal/wiring"
 )
 
-func setup(t *testing.T, c *circuit.Circuit) (*Simulator, *delay.Evaluator, *design.Assignment) {
+func setup(t *testing.T, c *circuit.Circuit) (*Simulator, *eval.Engine, *design.Assignment) {
+	t.Helper()
+	eng := engineFor(t, c)
+	a := design.Uniform(c.N(), 1.0, 0.2, 2)
+	s, err := New(c, eng.Delays(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, eng, a
+}
+
+func engineFor(t *testing.T, c *circuit.Circuit) *eval.Engine {
 	t.Helper()
 	tech := device.Default350()
+	act, err := activity.PropagateUniform(c, 0.5, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wire, err := wiring.New(wiring.Default350(), max(c.NumLogic(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := eval.NewDelayOnly(c, &tech, wire)
+	eng, err := eval.New(c, &tech, act, wire, 100e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	de := eng.DelayModel()
-	a := design.Uniform(c.N(), 1.0, 0.2, 2)
-	s, err := New(c, de, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, de, a
+	return eng
 }
 
 func chain(t *testing.T, n int) *circuit.Circuit {
@@ -51,15 +60,33 @@ func chain(t *testing.T, n int) *circuit.Circuit {
 
 func TestNewRejects(t *testing.T) {
 	seq, _ := circuit.ParseBenchString("seq", "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n")
-	tech := device.Default350()
-	wire, _ := wiring.New(wiring.Default350(), 1)
-	eng, err := eval.NewDelayOnly(chain(t, 1), &tech, wire)
+	if _, err := New(seq, make([]float64, seq.N())); err == nil {
+		t.Error("sequential circuit accepted")
+	}
+	c := chain(t, 2)
+	td := engineFor(t, c).Delays(design.Uniform(c.N(), 1, 0.2, 2))
+	if _, err := New(c, td[:1]); err == nil {
+		t.Error("short delay slice accepted")
+	}
+}
+
+// Engine.Delays returns engine scratch that the next engine call overwrites;
+// the simulator must keep the delays it was built with.
+func TestNewCopiesDelays(t *testing.T) {
+	c := chain(t, 4)
+	eng := engineFor(t, c)
+	a := design.Uniform(c.N(), 1.0, 0.2, 2)
+	want := slices.Clone(eng.Delays(a))
+	s, err := New(c, eng.Delays(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	de := eng.DelayModel()
-	if _, err := New(seq, de, design.Uniform(seq.N(), 1, 0.2, 2)); err == nil {
-		t.Error("sequential circuit accepted")
+	other := eng.Delays(design.Uniform(c.N(), 2.5, 0.4, 8))
+	if slices.Equal(other, want) {
+		t.Fatal("second assignment should change the delays")
+	}
+	if !slices.Equal(s.td, want) {
+		t.Errorf("simulator delays %v changed to follow the engine, want %v", s.td, want)
 	}
 }
 
@@ -67,9 +94,9 @@ func TestEventPropagationMatchesSTA(t *testing.T) {
 	// On an inverter chain every path is sensitized by any input edge: the
 	// measured propagation equals the STA critical delay exactly.
 	c := chain(t, 6)
-	s, de, a := setup(t, c)
+	s, eng, a := setup(t, c)
 	s.Settle()
-	sta := de.CriticalDelay(a)
+	sta := eng.CriticalDelay(a)
 	meas, err := s.PropagationDelay(c.PIs[0], !s.Value(c.PIs[0]), 1e-3)
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +113,8 @@ func TestMeasuredDelayNeverExceedsSTA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, de, a := setup(t, c)
-	sta := de.CriticalDelay(a)
+	s, eng, a := setup(t, c)
+	sta := eng.CriticalDelay(a)
 	for trial := 0; trial < 20; trial++ {
 		s.Settle()
 		in := c.PIs[trial%len(c.PIs)]

@@ -16,8 +16,6 @@ package wiring
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 )
 
 // Params sets the stochastic wiring model's technology and architecture
@@ -64,18 +62,13 @@ func (p Params) validate() error {
 	return nil
 }
 
-// Model is the wiring estimate for one placed network of N gates.
-//
-// By default every fanout branch carries the distribution's mean length;
-// SampleNets draws an individual length per driver net from the full Davis
-// distribution instead, so wire-load variance (short local hops vs the long
-// tail) reaches the delay and energy models.
+// Model is the wiring estimate for one placed network of N gates. Every
+// fanout branch carries the distribution's mean length.
 type Model struct {
 	P Params
 	N int
 
-	meanPitches float64   // expected point-to-point length in gate pitches //cmosvet:unit 1
-	netPitches  []float64 // per-net sampled lengths (nil = use the mean) //cmosvet:unit 1
+	meanPitches float64 // expected point-to-point length in gate pitches //cmosvet:unit 1
 }
 
 // New builds the wiring model for a network of n logic gates.
@@ -135,57 +128,11 @@ func (m *Model) computeMean() float64 {
 //cmosvet:unit return 1
 func (m *Model) MeanPitches() float64 { return m.meanPitches }
 
-// SampleNets draws one length per driver net (indexed by the driving gate's
-// ID, nNets entries) from the Davis distribution by inverse-CDF sampling,
-// deterministically for a given seed. Subsequent *Net accessors use these
-// lengths; the aggregate mean still converges to MeanPitches.
-func (m *Model) SampleNets(nNets int, seed int64) {
-	if nNets <= 0 {
-		m.netPitches = nil
-		return
-	}
-	// Discrete CDF over l = 1..2√N.
-	lMax := int(math.Ceil(2 * math.Sqrt(float64(m.N))))
-	cdf := make([]float64, lMax)
-	sum := 0.0
-	for l := 1; l <= lMax; l++ {
-		sum += m.Density(float64(l))
-		cdf[l-1] = sum
-	}
-	rng := rand.New(rand.NewSource(seed))
-	m.netPitches = make([]float64, nNets)
-	for i := range m.netPitches {
-		u := rng.Float64() * sum
-		idx := sort.SearchFloat64s(cdf, u)
-		if idx >= lMax {
-			idx = lMax - 1
-		}
-		m.netPitches[i] = float64(idx + 1)
-	}
-}
-
-// pitchesOf returns the length in pitches of the net driven by gate id
-// (mean when nets are not sampled or the id is out of range).
-//
-//cmosvet:unit return 1
-func (m *Model) pitchesOf(id int) float64 {
-	if m.netPitches == nil || id < 0 || id >= len(m.netPitches) {
-		return m.meanPitches
-	}
-	return m.netPitches[id]
-}
-
 // BranchLength returns the expected length in meters of one fanout branch
 // (one point-to-point connection of a net).
 //
 //cmosvet:unit return m
 func (m *Model) BranchLength() float64 { return m.meanPitches * m.P.GatePitch }
-
-// BranchLengthNet returns the branch length of the net driven by gate id,
-// which differs per net after SampleNets.
-//
-//cmosvet:unit return m
-func (m *Model) BranchLengthNet(id int) float64 { return m.pitchesOf(id) * m.P.GatePitch }
 
 // NetLength returns the expected total routed length of a net with the given
 // fanout, modeled as a star of point-to-point branches.
@@ -204,31 +151,16 @@ func (m *Model) NetLength(fanout int) float64 {
 //cmosvet:unit return F
 func (m *Model) BranchCap() float64 { return m.BranchLength() * m.P.CPerLen }
 
-// BranchCapNet is BranchCap for the net driven by gate id.
-//
-//cmosvet:unit return F
-func (m *Model) BranchCapNet(id int) float64 { return m.BranchLengthNet(id) * m.P.CPerLen }
-
 // BranchRes returns R_INTij: the interconnect resistance of one fanout
 // branch (Ω = V/A).
 //
 //cmosvet:unit return V/A
 func (m *Model) BranchRes() float64 { return m.BranchLength() * m.P.RPerLen }
 
-// BranchResNet is BranchRes for the net driven by gate id.
-//
-//cmosvet:unit return V/A
-func (m *Model) BranchResNet(id int) float64 { return m.BranchLengthNet(id) * m.P.RPerLen }
-
 // FlightTime returns the time-of-flight over one fanout branch (s).
 //
 //cmosvet:unit return s
 func (m *Model) FlightTime() float64 { return m.BranchLength() / m.P.Velocity }
-
-// FlightTimeNet is FlightTime for the net driven by gate id.
-//
-//cmosvet:unit return s
-func (m *Model) FlightTimeNet(id int) float64 { return m.BranchLengthNet(id) / m.P.Velocity }
 
 // RCDelay returns the distributed RC delay of one fanout branch (s), using
 // the 0.5·R·C distributed-line factor: (V/A)·F composes to s.

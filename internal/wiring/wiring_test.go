@@ -156,82 +156,6 @@ func TestRealisticMagnitudes(t *testing.T) {
 	}
 }
 
-func TestSampleNetsStatistics(t *testing.T) {
-	m := model(t, 400)
-	const nets = 20000
-	m.SampleNets(nets, 7)
-	var sum, minL, maxL float64
-	minL = math.Inf(1)
-	for i := 0; i < nets; i++ {
-		l := m.BranchLengthNet(i) / m.P.GatePitch
-		sum += l
-		if l < minL {
-			minL = l
-		}
-		if l > maxL {
-			maxL = l
-		}
-	}
-	mean := sum / nets
-	if rel := math.Abs(mean-m.MeanPitches()) / m.MeanPitches(); rel > 0.05 {
-		t.Errorf("sampled mean %v deviates from analytic %v by %v", mean, m.MeanPitches(), rel)
-	}
-	if minL < 1 || maxL > 2*math.Sqrt(400)+1 {
-		t.Errorf("sampled lengths [%v, %v] outside distribution support", minL, maxL)
-	}
-	if maxL == minL {
-		t.Error("sampling produced no variance")
-	}
-}
-
-func TestSampleNetsDeterministic(t *testing.T) {
-	m1, m2 := model(t, 200), model(t, 200)
-	m1.SampleNets(50, 3)
-	m2.SampleNets(50, 3)
-	for i := 0; i < 50; i++ {
-		if m1.BranchLengthNet(i) != m2.BranchLengthNet(i) {
-			t.Fatalf("net %d differs across same-seed samples", i)
-		}
-	}
-	m2.SampleNets(50, 4)
-	same := true
-	for i := 0; i < 50; i++ {
-		if m1.BranchLengthNet(i) != m2.BranchLengthNet(i) {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical samples")
-	}
-}
-
-func TestSampleNetsFallbacks(t *testing.T) {
-	m := model(t, 100)
-	// Without sampling, per-net accessors return the mean-based values.
-	if m.BranchLengthNet(5) != m.BranchLength() {
-		t.Error("unsampled per-net length should equal the mean")
-	}
-	m.SampleNets(10, 1)
-	// Out-of-range IDs fall back to the mean.
-	if m.BranchLengthNet(99) != m.BranchLength() {
-		t.Error("out-of-range net should fall back to the mean")
-	}
-	if m.BranchCapNet(3) != m.BranchLengthNet(3)*m.P.CPerLen {
-		t.Error("BranchCapNet inconsistent")
-	}
-	if m.BranchResNet(3) != m.BranchLengthNet(3)*m.P.RPerLen {
-		t.Error("BranchResNet inconsistent")
-	}
-	if m.FlightTimeNet(3) != m.BranchLengthNet(3)/m.P.Velocity {
-		t.Error("FlightTimeNet inconsistent")
-	}
-	// Disabling restores the mean.
-	m.SampleNets(0, 1)
-	if m.BranchLengthNet(3) != m.BranchLength() {
-		t.Error("SampleNets(0) should disable sampling")
-	}
-}
-
 func TestDieAndTotalWireEstimates(t *testing.T) {
 	m := model(t, 400)
 	// 400 gates on a 5.25 um pitch: 20 x 20 sites -> 105 um edge.
