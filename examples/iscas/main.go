@@ -58,13 +58,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, mode := range []string{"baseline", "joint"} {
-		var res *core.Result
-		if mode == "baseline" {
-			res, err = p.OptimizeBaseline(core.DefaultOptions())
-		} else {
-			res, err = p.OptimizeJoint(core.DefaultOptions())
-		}
+	for _, mode := range []string{core.ModeBaseline, core.ModeJoint} {
+		res, err := p.Optimize(mode, 0, core.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

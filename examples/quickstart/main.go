@@ -76,8 +76,8 @@ func main() {
 			report.Eng(r.Energy.Static, "J"), report.Eng(r.Energy.Dynamic, "J"),
 			report.Eng(r.Energy.Total(), "J"), report.Eng(r.CriticalDelay, "s"))
 	}
-	show("baseline", base)
-	show("joint", joint)
+	show(core.ModeBaseline, base)
+	show(core.ModeJoint, joint)
 	fmt.Printf("joint optimization saves %.1fx at the same %s clock\n",
 		joint.Savings(base), report.Eng(p.Fc, "Hz"))
 }

@@ -25,7 +25,7 @@
 //     invariant;
 //   - locksafe (locksafe.go): every sync.Mutex/RWMutex Lock is released on
 //     all exit paths, and no FlushObs/blocking send/engine evaluation runs
-//     under a held lock — the PR 2/PR 3 sharded-cache discipline;
+//     under a held lock — the service and registry locking discipline;
 //   - keypure (keypure.go): execution controls never flow into the
 //     cmosopt/key/v1 cache key — the PR 8 content-addressing invariant.
 //

@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// LockSafe enforces the locking discipline the sharded coefficient cache
-// (PR 2) and the observability registry (PR 3) rely on:
+// LockSafe enforces the locking discipline of the mutex-guarded shared state
+// (the service's job table and result cache, the observability registry):
 //
 //   - every sync.Mutex/RWMutex Lock (and RLock) is released on every CFG
 //     path that reaches the function's exit — either by a matching
@@ -17,17 +17,17 @@ import (
 //     receiver; paths that end in panic are exempt (the unwinding defers
 //     run, and a poisoned lock is the least of the process's problems);
 //   - no FlushObs call, no blocking channel send, and no Engine full
-//     evaluation happens while any lock is held. The coeff-cache shards sit
-//     on the hot path of every gate-delay call: anything slow or re-entrant
-//     under a shard lock turns the sharding into a convoy. Sends that are
-//     select communications are exempt (they cannot block the holder
-//     forever when a default or peer case exists; the CFG keeps each comm
-//     on its own path).
+//     evaluation happens while any lock is held. A full evaluation can run
+//     as long as a whole optimizer candidate, and FlushObs takes the
+//     registry's locks itself: under a held lock either stalls every
+//     goroutine waiting on that lock. Sends that are select communications
+//     are exempt (they cannot block the holder forever when a default or
+//     peer case exists; the CFG keeps each comm on its own path).
 //
 // Lock identity is the receiver expression spelled in source ("s.mu",
-// "shard.mu"): path-sensitive flow does the rest, so the straight-line
-// lookup/store shard code with explicit Unlock (no defer, no closure)
-// verifies as-is. Conditional-flag idioms (`locked := true; ...; if locked {
+// "r.mu"): path-sensitive flow does the rest, so straight-line code with
+// explicit Unlock (no defer, no closure) verifies as-is. Conditional-flag
+// idioms (`locked := true; ...; if locked {
 // mu.Unlock() }`) are beyond the state the analyzer tracks and take an
 // //cmosvet:allow with the reasoning spelled out.
 var LockSafe = &Analyzer{
@@ -102,7 +102,7 @@ func checkLockFunc(pass *Pass, fd *ast.FuncDecl) {
 						pass.Reportf(c.Pos(), "FlushObs while %s is held; flush after releasing the lock", heldNames(held))
 					}
 					if isEngineEvalCall(pass.TypesInfo, c) {
-						pass.Reportf(c.Pos(), "engine evaluation while %s is held; evaluation takes the coeff-cache shard locks and must not nest under another lock", heldNames(held))
+						pass.Reportf(c.Pos(), "engine evaluation while %s is held; an evaluation can run for a whole candidate and must not nest under a lock", heldNames(held))
 					}
 				}
 				return true

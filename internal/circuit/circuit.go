@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Circuit is an immutable gate-level network. Build one with a Builder, the
@@ -282,14 +281,4 @@ func (c *Circuit) LogicIDs() ([]int, error) {
 		}
 	}
 	return ids, nil
-}
-
-// SortedNames returns all gate names sorted, mainly for deterministic output.
-func (c *Circuit) SortedNames() []string {
-	names := make([]string, len(c.Gates))
-	for i := range c.Gates {
-		names[i] = c.Gates[i].Name
-	}
-	sort.Strings(names)
-	return names
 }

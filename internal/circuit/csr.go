@@ -68,13 +68,6 @@ func (s *CSR) Fanouts(id int32) []int32 {
 	return s.FanoutList[s.FanoutStart[id]:s.FanoutStart[id+1]]
 }
 
-// NumFanin returns gate id's fanin count without materializing the slice.
-//
-//cmosvet:hotpath
-func (s *CSR) NumFanin(id int32) int {
-	return int(s.FaninStart[id+1] - s.FaninStart[id])
-}
-
 // NumFanout returns gate id's fanout count.
 //
 //cmosvet:hotpath

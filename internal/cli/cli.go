@@ -66,7 +66,7 @@ func LowPower(args []string, out io.Writer) error {
 	fs.SetOutput(out)
 	name := fs.String("circuit", "", "built-in benchmark name (s27, c17, s298, ...)")
 	benchPath := fs.String("bench", "", "path to an ISCAS .bench netlist")
-	mode := fs.String("mode", "joint", "optimizer: joint, baseline, anneal, multivt, dualvdd, sensitivity")
+	mode := fs.String("mode", core.ModeJoint, "optimizer: "+strings.Join(core.Modes, ", "))
 	nv := fs.Int("nv", 2, "distinct threshold voltages for -mode multivt")
 	fc := fs.Float64("fc", 300e6, "required clock frequency (Hz)")
 	skew := fs.Float64("skew", 0.95, "clock-skew derating b (0,1]")
@@ -109,23 +109,7 @@ func LowPower(args []string, out io.Writer) error {
 	opts := core.DefaultOptions()
 	opts.M = *m
 
-	var res *core.Result
-	switch *mode {
-	case "joint":
-		res, err = p.OptimizeJoint(opts)
-	case "baseline":
-		res, err = p.OptimizeBaseline(opts)
-	case "anneal":
-		res, err = p.OptimizeAnneal(core.DefaultAnnealOptions())
-	case "multivt":
-		res, err = p.OptimizeMultiVt(*nv, opts)
-	case "dualvdd":
-		res, err = p.OptimizeDualVdd(opts)
-	case "sensitivity":
-		res, err = p.OptimizeJointSensitivity(opts)
-	default:
-		return fmt.Errorf("unknown -mode %q", *mode)
-	}
+	res, err := p.Optimize(*mode, *nv, opts)
 	if err != nil {
 		return err
 	}

@@ -110,10 +110,10 @@ func (p *Problem) OptimizeAnneal(opts AnnealOptions) (*Result, error) {
 	if bestFeasible == nil {
 		// Report the infeasible search honestly: fall back to the initial
 		// state so callers can still inspect energy numbers.
-		res := p.finishResult("anneal", init.a, false, evals0)
+		res := p.finishResult(ModeAnneal, init.a, false, evals0)
 		return res, nil
 	}
-	res := p.finishResult("anneal", bestFeasible, true, evals0)
+	res := p.finishResult(ModeAnneal, bestFeasible, true, evals0)
 	res.Objective = bestFeasibleE
 	return res, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cmosopt/internal/activity"
@@ -432,11 +433,11 @@ func TestResultSavingsDegenerate(t *testing.T) {
 
 func TestEvaluationCounterMonotone(t *testing.T) {
 	p := problemFor(t, smallCircuit(t), 0.3)
-	before := p.Evaluations()
+	before := p.Eval.FullEvalEquivalents()
 	if _, err := p.OptimizeBaseline(DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if p.Evaluations() <= before {
+	if p.Eval.FullEvalEquivalents() <= before {
 		t.Error("evaluation counter did not advance")
 	}
 }
@@ -498,5 +499,18 @@ func TestColdOperationLowersOptimalThreshold(t *testing.T) {
 	}
 	if cold.VtsValues[0] > hot.VtsValues[0]+0.02 {
 		t.Errorf("cold threshold %v above hot %v", cold.VtsValues[0], hot.VtsValues[0])
+	}
+}
+
+func TestOptimizeRunsEveryMode(t *testing.T) {
+	c := smallCircuit(t)
+	for _, mode := range Modes {
+		res, err := problemFor(t, c, 0.3).Optimize(mode, 2, Options{M: 4})
+		if err != nil || res == nil {
+			t.Errorf("mode %q: res %v, err %v", mode, res, err)
+		}
+	}
+	if _, err := problemFor(t, c, 0.3).Optimize("frob", 0, Options{}); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Errorf("unknown mode: err = %v", err)
 	}
 }

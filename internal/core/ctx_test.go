@@ -71,7 +71,7 @@ func TestOptimizeJointCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evBefore := p.Evaluations()
+	evBefore := p.Eval.FullEvalEquivalents()
 	res, err := p.OptimizeJoint(DefaultOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err = %v (res=%v), want context.Canceled", err, res)
@@ -79,9 +79,9 @@ func TestOptimizeJointCancelMidRun(t *testing.T) {
 	// Prompt abort: a full joint run costs hundreds of evaluation
 	// equivalents; five polls' worth must stay well under that.
 	opts := DefaultOptions()
-	full := opts.M * opts.M
-	if used := p.Evaluations() - evBefore; used >= full {
-		t.Fatalf("canceled run consumed %d evaluation equivalents, want < %d", used, full)
+	full := float64(opts.M * opts.M)
+	if used := p.Eval.FullEvalEquivalents() - evBefore; used >= full {
+		t.Fatalf("canceled run consumed %.0f evaluation equivalents, want < %.0f", used, full)
 	}
 }
 
@@ -92,6 +92,29 @@ func TestOptimizeBaselineCancel(t *testing.T) {
 	}
 	if _, err := p.OptimizeBaseline(DefaultOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("baseline cancel: err = %v, want context.Canceled", err)
+	}
+}
+
+func TestOptimizeJointSensitivityCancel(t *testing.T) {
+	p, err := NewProblem(ctxSpec(t, "s27", &countdownCtx{left: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.Eval.FullEvalEquivalents()
+	if _, err := p.OptimizeJointSensitivity(DefaultOptions()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sensitivity cancel: err = %v, want context.Canceled", err)
+	}
+	// Four polls admit the first Vdd level and its first three threshold
+	// candidates, and nothing after: the run costs exactly what an M=3 run
+	// canceled at the same poll costs, which sizes the same three candidates.
+	ref, err := NewProblem(ctxSpec(t, "s27", &countdownCtx{left: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refBefore := ref.Eval.FullEvalEquivalents()
+	_, _ = ref.OptimizeJointSensitivity(Options{M: 3})
+	if used, want := p.Eval.FullEvalEquivalents()-before, ref.Eval.FullEvalEquivalents()-refBefore; used != want || used == 0 {
+		t.Fatalf("canceled run consumed %v evaluation equivalents, want %v (> 0)", used, want)
 	}
 }
 

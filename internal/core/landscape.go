@@ -69,22 +69,3 @@ func (l *Landscape) Min() (vdd, vts, e float64, ok bool) {
 	}
 	return vdd, vts, e, ok
 }
-
-// FeasibleFraction reports how much of the grid meets timing.
-//
-//cmosvet:unit return 1
-func (l *Landscape) FeasibleFraction() float64 {
-	total, feas := 0, 0
-	for i := range l.E {
-		for _, v := range l.E[i] {
-			total++
-			if !math.IsInf(v, 1) {
-				feas++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(feas) / float64(total)
-}

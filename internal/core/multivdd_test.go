@@ -87,31 +87,6 @@ func TestCheckRailRuleDetectsViolations(t *testing.T) {
 	}
 }
 
-func TestVddAtAndDistinct(t *testing.T) {
-	a := design.Uniform(3, 1.2, 0.2, 2)
-	if a.VddAt(1) != 1.2 || a.MaxVdd() != 1.2 {
-		t.Error("uniform VddAt/MaxVdd broken")
-	}
-	if got := a.DistinctVdds(); len(got) != 1 || got[0] != 1.2 {
-		t.Errorf("DistinctVdds = %v", got)
-	}
-	a.VddPer = []float64{1.2, 0.6, 1.2}
-	if a.VddAt(1) != 0.6 {
-		t.Errorf("VddAt(1) = %v", a.VddAt(1))
-	}
-	if a.MaxVdd() != 1.2 {
-		t.Errorf("MaxVdd = %v", a.MaxVdd())
-	}
-	if got := a.DistinctVdds(); len(got) != 2 {
-		t.Errorf("DistinctVdds = %v", got)
-	}
-	b := a.Clone()
-	b.VddPer[0] = 0.1
-	if a.VddPer[0] != 1.2 {
-		t.Error("Clone shares VddPer")
-	}
-}
-
 func TestPerGateVddAffectsModels(t *testing.T) {
 	p := problemFor(t, smallCircuit(t), 0.5)
 	n := p.C.N()

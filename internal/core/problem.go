@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 
 	"cmosopt/internal/activity"
 	"cmosopt/internal/circuit"
@@ -203,11 +204,39 @@ func NewProblem(s Spec) (*Problem, error) {
 //cmosvet:unit return s
 func (p *Problem) CycleBudget() float64 { return p.Skew / p.Fc }
 
-// Evaluations returns the full-circuit-evaluation-equivalent work performed
-// so far (the unit of the paper's O(M³) complexity claim): every single-gate
-// delay-model call — full sweeps, width-bisection probes, incremental cone
-// updates — counts as 1/M of a full circuit evaluation.
-func (p *Problem) Evaluations() int { return int(math.Round(p.Eval.FullEvalEquivalents())) }
+// Optimizer modes: the names Optimize accepts, in the order Modes lists them.
+const (
+	ModeJoint       = "joint"
+	ModeBaseline    = "baseline"
+	ModeAnneal      = "anneal"
+	ModeMultiVt     = "multivt"
+	ModeDualVdd     = "dualvdd"
+	ModeSensitivity = "sensitivity"
+)
+
+// Modes lists every optimizer mode, the default (ModeJoint) first.
+var Modes = []string{ModeJoint, ModeBaseline, ModeAnneal, ModeMultiVt, ModeDualVdd, ModeSensitivity}
+
+// Optimize runs the optimizer named by mode (one of Modes). nv is the number
+// of distinct thresholds for ModeMultiVt and ignored by the others; ModeAnneal
+// runs with DefaultAnnealOptions instead of opts.
+func (p *Problem) Optimize(mode string, nv int, opts Options) (*Result, error) {
+	switch mode {
+	case ModeJoint:
+		return p.OptimizeJoint(opts)
+	case ModeBaseline:
+		return p.OptimizeBaseline(opts)
+	case ModeAnneal:
+		return p.OptimizeAnneal(DefaultAnnealOptions())
+	case ModeMultiVt:
+		return p.OptimizeMultiVt(nv, opts)
+	case ModeDualVdd:
+		return p.OptimizeDualVdd(opts)
+	case ModeSensitivity:
+		return p.OptimizeJointSensitivity(opts)
+	}
+	return nil, fmt.Errorf("core: unknown mode %q (want one of %s)", mode, strings.Join(Modes, ", "))
+}
 
 // Result is the outcome of one optimization run.
 type Result struct {

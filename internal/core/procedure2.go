@@ -121,6 +121,70 @@ func (c *evalCtx) evalPoint(vdd, vts float64, o *Options) (float64, *design.Assi
 	return e, nominal, true
 }
 
+// level is one of Procedure 2's directional bisections: the voltage range
+// it halves, the half an improving candidate steers into, and how its
+// candidates are priced.
+type level struct {
+	r optimize.Range
+	// higher is the improving direction: HIGHER for thresholds (chase lower
+	// leakage), LOWER for supplies (chase lower switching energy).
+	higher bool
+	// price evaluates the candidate at x, commits it (incumbent, effort
+	// meter) and returns its energy and feasibility.
+	price func(x float64) (e float64, ok bool)
+	// batch, when set, prices MID(r) and the midpoints of both ranges
+	// reachable from it at once and commits none of them; the walk commits
+	// only the two results on its path.
+	batch func(mid, toward, away float64) [3]candidate
+}
+
+// candidate is a priced but uncommitted batch result: calling it commits the
+// candidate and returns its energy and feasibility.
+type candidate func() (e float64, ok bool)
+
+// bisect walks one level for m steps and returns the lowest energy it priced
+// (+Inf when no candidate was feasible). Each step prices MID(r); a feasible
+// price no worse than the level's best so far moves r into the improving
+// half, any other price into the other half. The context is polled between
+// candidates, never inside one, so an uncanceled walk takes the exact same
+// steps. With a batch, each poll resolves two steps: the first result picks
+// which of the two speculative successors is on the path.
+func (p *Problem) bisect(l level, m int) float64 {
+	r, best := l.r, math.Inf(1)
+	next := func(improved bool) optimize.Range {
+		if improved == l.higher {
+			return r.Higher()
+		}
+		return r.Lower()
+	}
+	step := func(e float64, ok bool) bool {
+		improved := ok && e <= best
+		r = next(improved)
+		if e < best {
+			best = e
+		}
+		return improved
+	}
+	for j := 0; j < m; {
+		if p.ctx.Err() != nil {
+			break
+		}
+		if l.batch == nil || j+1 >= m {
+			step(l.price(r.Mid()))
+			j++
+			continue
+		}
+		cs := l.batch(r.Mid(), next(true).Mid(), next(false).Mid())
+		if step(cs[0]()) {
+			step(cs[1]())
+		} else {
+			step(cs[2]())
+		}
+		j += 2
+	}
+	return best
+}
+
 // OptimizeJoint runs the paper's Procedure 2: nested directional bisection of
 // the Vdd and Vts ranges with a per-gate minimum-width binary search inside,
 // steered by "all delay budgets met and total energy decreased". The best
@@ -143,118 +207,68 @@ func (p *Problem) OptimizeJoint(opts Options) (*Result, error) {
 	oldTrace := p.setTrace(lvl)
 	defer p.setTrace(oldTrace)
 
-	type incumbent struct {
-		e   float64
-		a   *design.Assignment
-		vdd float64
-		vts float64
-		ok  bool
-	}
-	best := incumbent{e: math.Inf(1)}
-
-	consider := func(e float64, a *design.Assignment, vdd, vts float64, ok bool) {
-		if ok && e < best.e {
-			best = incumbent{e: e, a: a, vdd: vdd, vts: vts, ok: true}
+	bestE := math.Inf(1)
+	var bestA *design.Assignment
+	consider := func(e float64, a *design.Assignment, ok bool) {
+		if ok && e < bestE {
+			bestE, bestA = e, a
 		}
 	}
 
-	// evalVts runs the middle (threshold) loop at one supply voltage and
-	// returns the best objective found there. The bisection chain is
-	// sequential — each candidate's result steers the next range — but both
-	// possible next ranges are known before the result is: with ≥ 3 workers
-	// the loop prices the current candidate and the two reachable next
-	// candidates in one speculative batch on engine clones, resolving two
-	// bisection levels per batch. Only on-path candidates feed the incumbent,
-	// the steering state and the effort meter, so the walk — and the reported
-	// evaluation count — is byte-identical to the serial one at any worker
-	// count; the discarded branch's work is the price of the latency win.
+	// The threshold walk is sequential — each candidate's result steers the
+	// next range — but both possible next ranges are known before the result
+	// is: with ≥ 3 workers each batch prices the current candidate and the two
+	// reachable next ones on engine clones, resolving two steps at once. Only
+	// on-path results feed the incumbent and the effort meter, so the walk —
+	// and the reported evaluation count — is byte-identical to the serial one
+	// at any worker count; the discarded branch's work is the price of the
+	// latency win.
 	speculate := parallel.Workers(opts.Workers) >= 3
-	evalVts := func(vdd float64) float64 {
-		vtsR := optimize.Range{Lo: p.Tech.VtsMin, Hi: p.Tech.VtsMax}
-		bestHere := math.Inf(1)
-		prev := math.Inf(1)
-		// step applies one bisection level exactly as the paper's serial walk
-		// does and reports whether the range moved higher.
-		step := func(r pointRes, vts float64) bool {
-			consider(r.e, r.a, vdd, vts, r.ok)
-			if r.e < bestHere {
-				bestHere = r.e
-			}
-			// Paper: feasible and energy decreased → raise the threshold
-			// range (chase lower leakage); otherwise lower it (buy speed).
-			higher := r.ok && r.e <= prev
-			if higher {
-				vtsR = vtsR.Higher()
-			} else {
-				vtsR = vtsR.Lower()
-			}
-			if r.e < prev {
-				prev = r.e
-			}
-			return higher
-		}
-		for j := 0; j < opts.M; {
-			// Cancellation poll: between candidates, never inside one, so
-			// an uncanceled run takes the exact same steps.
-			if p.ctx.Err() != nil {
-				break
-			}
-			vts := vtsR.Mid()
-			if !speculate || j+1 >= opts.M {
+	vtsLevel := func(vdd float64) level {
+		l := level{
+			r:      optimize.Range{Lo: p.Tech.VtsMin, Hi: p.Tech.VtsMax},
+			higher: true,
+			price: func(vts float64) (float64, bool) {
 				e, a, ok := p.evalPoint(vdd, vts, &opts)
-				step(pointRes{e, a, ok}, vts)
-				j++
-				continue
+				consider(e, a, ok)
+				return e, ok
+			},
+		}
+		if speculate {
+			l.batch = func(mid, toward, away float64) [3]candidate {
+				rs, mets := p.specPoints([][2]float64{{vdd, mid}, {vdd, toward}, {vdd, away}}, &opts)
+				joint.Add("speculative_batches", 1)
+				var cs [3]candidate
+				for i := range cs {
+					cs[i] = func() (float64, bool) {
+						p.Eval.Metrics().Add(mets[i])
+						consider(rs[i].e, rs[i].a, rs[i].ok)
+						return rs[i].e, rs[i].ok
+					}
+				}
+				return cs
 			}
-			hi, lo := vtsR.Higher().Mid(), vtsR.Lower().Mid()
-			rs, mets := p.specPoints([][2]float64{{vdd, vts}, {vdd, hi}, {vdd, lo}}, &opts)
-			joint.Add("speculative_batches", 1)
-			p.Eval.Metrics().Add(mets[0])
-			next, nextVts, nextMet := rs[2], lo, mets[2]
-			if step(rs[0], vts) {
-				next, nextVts, nextMet = rs[1], hi, mets[1]
-			}
-			j++
-			// The chosen branch's candidate is already priced: consume it as
-			// the next level without waiting.
-			p.Eval.Metrics().Add(nextMet)
-			step(next, nextVts)
-			j++
 		}
-		return bestHere
+		return l
 	}
-
-	vddR := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}
-	prevVdd := math.Inf(1)
-	for i := 0; i < opts.M; i++ {
-		if p.ctx.Err() != nil {
-			break
-		}
-		vdd := vddR.Mid()
-		lvlT := lvl.Start()
-		e := evalVts(vdd)
-		lvlT.Stop()
-		// Paper: feasible and energy decreased → lower the supply range
-		// (chase lower switching energy); otherwise raise it.
-		if !math.IsInf(e, 1) && e <= prevVdd {
-			vddR = vddR.Lower()
-		} else {
-			vddR = vddR.Higher()
-		}
-		if e < prevVdd {
-			prevVdd = e
-		}
-	}
+	p.bisect(level{
+		r: optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax},
+		price: func(vdd float64) (float64, bool) {
+			lvlT := lvl.Start()
+			defer lvlT.Stop()
+			e := p.bisect(vtsLevel(vdd), opts.M)
+			return e, !math.IsInf(e, 1)
+		},
+	}, opts.M)
 
 	if err := p.Canceled(); err != nil {
 		return nil, err
 	}
-
-	if !best.ok {
+	if bestA == nil {
 		return nil, fmt.Errorf("core: no feasible design point for %q at fc=%v (budget %v s)", p.C.Name, p.Fc, p.CycleBudget())
 	}
-	res := p.finishResult("joint", best.a, true, evals0)
-	res.Objective = best.e
+	res := p.finishResult(ModeJoint, bestA, true, evals0)
+	res.Objective = bestE
 	return res, nil
 }
 
@@ -283,7 +297,7 @@ func (p *Problem) OptimizeBaseline(opts Options) (*Result, error) {
 
 	bestE := math.Inf(1)
 	var bestA *design.Assignment
-	method := "baseline"
+	method := ModeBaseline
 	if opts.FixedVdd > 0 {
 		// Widths-only reference at a pinned supply.
 		if opts.FixedVdd < p.Tech.VddMin || opts.FixedVdd > p.Tech.VddMax {
@@ -295,26 +309,16 @@ func (p *Problem) OptimizeBaseline(opts Options) (*Result, error) {
 			bestE, bestA = e, a
 		}
 	} else {
-		vddR := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}
-		prev := math.Inf(1)
-		for i := 0; i < opts.M; i++ {
-			if p.ctx.Err() != nil {
-				break
-			}
-			vdd := vddR.Mid()
-			e, a, ok := p.evalPoint(vdd, vt, &opts)
-			if ok && e < bestE {
-				bestE, bestA = e, a
-			}
-			if ok && e <= prev {
-				vddR = vddR.Lower()
-			} else {
-				vddR = vddR.Higher()
-			}
-			if e < prev {
-				prev = e
-			}
-		}
+		p.bisect(level{
+			r: optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax},
+			price: func(vdd float64) (float64, bool) {
+				e, a, ok := p.evalPoint(vdd, vt, &opts)
+				if ok && e < bestE {
+					bestE, bestA = e, a
+				}
+				return e, ok
+			},
+		}, opts.M)
 	}
 	if err := p.Canceled(); err != nil {
 		return nil, err

@@ -130,42 +130,19 @@ func (p *Problem) OptimizeJointSensitivity(opts Options) (*Result, error) {
 		return e, true
 	}
 
-	vddR := optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax}
-	prevV := math.Inf(1)
-	for i := 0; i < opts.M; i++ {
-		if err := p.Canceled(); err != nil {
-			return nil, err
-		}
-		vdd := vddR.Mid()
-		vtsR := optimize.Range{Lo: p.Tech.VtsMin, Hi: p.Tech.VtsMax}
-		prevT := math.Inf(1)
-		bestHere := math.Inf(1)
-		for j := 0; j < opts.M; j++ {
-			if err := p.Canceled(); err != nil {
-				return nil, err
-			}
-			vts := vtsR.Mid()
-			e, ok := eval(vdd, vts)
-			if e < bestHere {
-				bestHere = e
-			}
-			if ok && e <= prevT {
-				vtsR = vtsR.Higher()
-			} else {
-				vtsR = vtsR.Lower()
-			}
-			if e < prevT {
-				prevT = e
-			}
-		}
-		if !math.IsInf(bestHere, 1) && bestHere <= prevV {
-			vddR = vddR.Lower()
-		} else {
-			vddR = vddR.Higher()
-		}
-		if bestHere < prevV {
-			prevV = bestHere
-		}
+	p.bisect(level{
+		r: optimize.Range{Lo: p.Tech.VddMin, Hi: p.Tech.VddMax},
+		price: func(vdd float64) (float64, bool) {
+			e := p.bisect(level{
+				r:      optimize.Range{Lo: p.Tech.VtsMin, Hi: p.Tech.VtsMax},
+				higher: true,
+				price:  func(vts float64) (float64, bool) { return eval(vdd, vts) },
+			}, opts.M)
+			return e, !math.IsInf(e, 1)
+		},
+	}, opts.M)
+	if err := p.Canceled(); err != nil {
+		return nil, err
 	}
 	if bestA == nil {
 		return nil, fmt.Errorf("core: sensitivity sizing found no feasible point for %q", p.C.Name)

@@ -67,39 +67,14 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestDistinctVts(t *testing.T) {
-	a := Uniform(4, 1.0, 0.3, 2)
-	if got := a.DistinctVts(); len(got) != 1 {
-		t.Errorf("uniform DistinctVts = %v", got)
-	}
-	a.Vts[2] = 0.5
-	a.Vts[3] = 0.5
-	if got := a.DistinctVts(); len(got) != 2 {
-		t.Errorf("two-level DistinctVts = %v", got)
-	}
-	a.Vts[3] = 0.5 + 1e-12 // within tolerance of 0.5
-	if got := a.DistinctVts(); len(got) != 2 {
-		t.Errorf("tolerance DistinctVts = %v", got)
-	}
-}
-
 func TestPerGateVddAccessors(t *testing.T) {
 	a := Uniform(3, 1.2, 0.2, 2)
-	if a.VddAt(0) != 1.2 || a.MaxVdd() != 1.2 {
-		t.Error("uniform accessors broken")
-	}
-	if got := a.DistinctVdds(); len(got) != 1 || got[0] != 1.2 {
-		t.Errorf("DistinctVdds = %v", got)
+	if a.VddAt(0) != 1.2 {
+		t.Error("uniform VddAt broken")
 	}
 	a.VddPer = []float64{1.2, 0.6, 0.6}
 	if a.VddAt(1) != 0.6 || a.VddAt(0) != 1.2 {
 		t.Error("per-gate VddAt broken")
-	}
-	if a.MaxVdd() != 1.2 {
-		t.Errorf("MaxVdd = %v", a.MaxVdd())
-	}
-	if got := a.DistinctVdds(); len(got) != 2 {
-		t.Errorf("DistinctVdds = %v", got)
 	}
 	b := a.Clone()
 	b.VddPer[2] = 0.9

@@ -21,15 +21,25 @@ func TestCloneMatchesParent(t *testing.T) {
 	a := design.Uniform(c.N(), 1.6, 0.32, 4)
 	cl := eng.Clone()
 
-	if cl.CoeffCacheShared() != eng.CoeffCacheShared() {
-		t.Fatal("clone must share the parent's coefficient cache")
-	}
 	wantCd, wantE := eng.CriticalDelay(a), eng.Energy(a)
+	// The clone's coefficient cache is its own and starts empty: the pair
+	// the parent just priced is a miss for the clone, and nothing the clone
+	// stores reaches the parent.
+	if len(cl.cache) != 0 {
+		t.Fatalf("clone starts with %d cached pairs, want 0", len(cl.cache))
+	}
 	if got := cl.CriticalDelay(a); got != wantCd {
 		t.Errorf("clone critical delay %v, parent %v", got, wantCd)
 	}
 	if got := cl.Energy(a); got != wantE {
 		t.Errorf("clone energy %v, parent %v", got, wantE)
+	}
+	if m := cl.Metrics(); m.CoeffMisses != 1 {
+		t.Errorf("clone missed %d times on the parent's pair, want 1", m.CoeffMisses)
+	}
+	cl.CriticalDelay(design.Uniform(c.N(), 1.7, 0.32, 4))
+	if len(eng.cache) != 1 || len(cl.cache) != 2 {
+		t.Errorf("parent holds %d pairs, clone %d; want 1 and 2", len(eng.cache), len(cl.cache))
 	}
 	// Clone metrics start fresh and do not leak into the parent.
 	if cl.Metrics().GateDelayCalls == 0 {
@@ -45,7 +55,7 @@ func TestCloneMatchesParent(t *testing.T) {
 func TestClonesEvaluateConcurrently(t *testing.T) {
 	// N clones sweep different operating points of the same circuit at once;
 	// each must agree with a serial evaluation of its own point. Run under
-	// -race this also exercises the shared coefficient cache.
+	// -race this checks that clones share no mutable state.
 	c, eng, _, _ := buildCase(t, 12)
 	const workers = 8
 	type out struct{ cd, e float64 }
@@ -69,42 +79,5 @@ func TestClonesEvaluateConcurrently(t *testing.T) {
 		if e := eng.Energy(a).Total(); e != got[w].e {
 			t.Errorf("worker %d energy %v, serial %v", w, got[w].e, e)
 		}
-	}
-}
-
-func TestCoeffCacheConcurrentAccess(t *testing.T) {
-	// Hammer one shared cache from many goroutines over overlapping keys,
-	// including enough distinct keys to trip shard eviction, and check every
-	// returned value against a direct model computation.
-	_, eng, dm, _ := buildCase(t, 13)
-	cc := eng.CoeffCacheShared()
-	const workers = 8
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			cl := eng.Clone()
-			n := maxCoeffEntries/workers + 50
-			for i := 0; i < n; i++ {
-				// Half the keys collide across workers, half are unique.
-				vdd := 1.0 + 0.001*float64(i%32)
-				vts := 0.2 + 1e-6*float64(i*(1+w%2))
-				got := cl.coeffs(vdd, vts)
-				if want := dm.CoeffsAt(vdd, vts); got != want {
-					errs <- "cached coefficients diverge from the model"
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
-	}
-	if got := cc.Len(); got > maxCoeffEntries {
-		t.Errorf("shared cache holds %d entries, cap %d", got, maxCoeffEntries)
 	}
 }

@@ -23,11 +23,11 @@
 //     full-circuit-evaluation units, the paper's O(M³) currency.
 //
 // An Engine is NOT safe for concurrent use: the scratch buffers and the
-// tracked state are engine-owned. Give each goroutine its own Engine —
-// Clone (clone.go) makes that cheap by sharing every immutable structure
-// (circuit, technology, activity, wiring, model evaluators, topological
-// order) and the concurrency-safe device-coefficient cache, allocating only
-// fresh scratch. Parallel drivers build one clone per worker through
+// tracked state and the coefficient cache are engine-owned. Give each
+// goroutine its own Engine — Clone (clone.go) makes that cheap by sharing
+// every immutable structure (circuit, technology, activity, wiring, model
+// evaluators, topological order), allocating only fresh scratch and an empty
+// cache. Parallel drivers build one clone per worker through
 // internal/parallel.
 package eval
 
@@ -45,10 +45,10 @@ import (
 	"cmosopt/internal/wiring"
 )
 
-// maxCoeffEntries bounds the shared coefficient cache. Optimizers visit a
+// maxCoeffEntries bounds an engine's coefficient cache. Optimizers visit a
 // handful of voltage pairs per run, but a caller sweeping thresholds can
-// present any number; a shard that fills is cleared rather than grown without
-// bound (see clone.go).
+// present any number; a full cache is cleared rather than grown without
+// bound.
 const maxCoeffEntries = 4096
 
 type coeffKey struct {
@@ -71,13 +71,13 @@ type Engine struct {
 	cs       *circuit.CSR // levelized struct-of-arrays view, shared by clones
 	numLogic int
 
-	// Device-coefficient cache: a private single-entry fast path (within one
+	// Device-coefficient cache: a single-entry fast path (within one
 	// optimizer probe sequence nearly every call shares one voltage pair)
-	// over a sharded concurrency-safe map shared with all clones.
+	// over a map of every pair seen, both private to this engine.
 	lastKey   coeffKey
 	lastCoeff delay.Coeffs
 	haveLast  bool
-	cache     *CoeffCache
+	cache     map[coeffKey]delay.Coeffs
 
 	// Scratch for the full-evaluation APIs (valid until the next Engine call).
 	td    []float64 //cmosvet:unit s
@@ -130,7 +130,7 @@ func New(c *circuit.Circuit, tech *device.Tech, act *activity.Profile, wire *wir
 		pm:       pm,
 		cs:       cs,
 		numLogic: c.NumLogic(),
-		cache:    NewCoeffCache(),
+		cache:    make(map[coeffKey]delay.Coeffs),
 		primary:  true,
 		td:       make([]float64, c.N()),
 		arr:      make([]float64, c.N()),
@@ -159,16 +159,16 @@ func (e *Engine) coeffs(vdd, vts float64) delay.Coeffs {
 		e.met.CoeffHits++
 		return e.lastCoeff
 	}
-	c, ok := e.cache.lookup(k)
-	if !ok {
-		// CoeffsAt is a pure function of the pair, so a concurrent clone
-		// computing the same key stores an identical value — losing the
-		// store race never changes a result.
+	c, ok := e.cache[k]
+	if ok {
+		e.met.CoeffHits++
+	} else {
 		e.met.CoeffMisses++
 		c = e.dm.CoeffsAt(vdd, vts)
-		e.cache.store(k, c)
-	} else {
-		e.met.CoeffHits++
+		if len(e.cache) >= maxCoeffEntries {
+			clear(e.cache)
+		}
+		e.cache[k] = c
 	}
 	e.lastKey, e.lastCoeff, e.haveLast = k, c, true
 	return c

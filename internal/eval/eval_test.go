@@ -178,6 +178,31 @@ func TestCoeffCache(t *testing.T) {
 	}
 }
 
+func TestCoeffCacheTwoVtsGroups(t *testing.T) {
+	// Two threshold groups interleaved in sweep order defeat the one-entry
+	// memo on every group switch; the map must still price each pair once.
+	c, eng, _, _ := buildCase(t, 6)
+	a := design.Uniform(c.N(), 1.5, 0.35, 4)
+	logic := 0
+	for i := range c.Gates {
+		if c.Gates[i].IsLogic() {
+			if logic%2 == 1 {
+				a.Vts[i] = 0.45
+			}
+			logic++
+		}
+	}
+	eng.Metrics().Reset()
+	eng.CriticalDelay(a)
+	if m := eng.Metrics(); m.CoeffMisses != 2 || m.CoeffHits != int64(logic)-2 {
+		t.Errorf("first sweep: %d misses, %d hits; want 2, %d", m.CoeffMisses, m.CoeffHits, logic-2)
+	}
+	eng.CriticalDelay(a)
+	if m := eng.Metrics(); m.CoeffMisses != 2 || m.CoeffHits != 2*int64(logic)-2 {
+		t.Errorf("second sweep: %d misses, %d hits; want 2, %d", m.CoeffMisses, m.CoeffHits, 2*logic-2)
+	}
+}
+
 func TestCoeffCacheOverflowClears(t *testing.T) {
 	c, eng, _, _ := buildCase(t, 5)
 	a := design.Uniform(c.N(), 1.5, 0.35, 4)
@@ -189,7 +214,7 @@ func TestCoeffCacheOverflowClears(t *testing.T) {
 		a.SetVts(vts)
 		eng.CriticalDelay(a)
 	}
-	if got := eng.cache.Len(); got > maxCoeffEntries {
+	if got := len(eng.cache); got > maxCoeffEntries {
 		t.Fatalf("coefficient cache grew to %d entries, cap is %d", got, maxCoeffEntries)
 	}
 }

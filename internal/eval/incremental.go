@@ -6,33 +6,32 @@ import (
 )
 
 // Incremental evaluation. Bind attaches the engine to one assignment and
-// computes its full timing and energy state once; after that, point edits
-// (SetWidth, SetGateVts) re-evaluate only the gates the edit can reach:
+// computes its full timing and energy state once; after that, a width edit
+// (SetWidth) re-evaluates only the gates the edit can reach:
 //
 //   - a width change at gate i re-prices gate i itself (its own switching
 //     width) and its logic fanins (their output load includes w_i·C_t and the
 //     worst interconnect branch), then propagates delay/arrival changes
 //     through the fanout cone in topological-rank order, stopping wherever
 //     both t_d and arrival are bitwise unchanged;
-//   - a threshold change at gate i re-prices gate i only (no other gate's
-//     load depends on V_TSi) and propagates the same way;
 //   - energy needs no propagation at all: E_i depends on w_i, V_TSi and the
-//     widths of i's fanouts, so the edited gate and (for width edits) its
-//     logic fanins are the only stale entries in the per-gate energy arrays.
+//     widths of i's fanouts, so the edited gate and its logic fanins are the
+//     only stale entries in the per-gate energy arrays.
 //
 // The propagation recomputes each dirty gate with the exact same model call
 // the full sweep uses, reading cached fanin values — so bound results are
 // bitwise identical to a from-scratch evaluation of the same assignment
 // (the eval property test pins this down).
 //
-// Bound accessors (BoundDelays, BoundCriticalDelay, BoundEnergy, …) read the
-// tracked state without touching the device model; the full-evaluation APIs
-// in eval.go keep working while bound because they use separate scratch.
+// Bound accessors (BoundDelays, BoundCriticalDelay, BoundEnergy,
+// BoundSlacks) read the tracked state without touching the device model; the
+// full-evaluation APIs in eval.go keep working while bound because they use
+// separate scratch.
 
 // Bind attaches the engine to a for incremental evaluation and performs the
 // initial full delay + energy computation. The engine holds a reference: all
-// subsequent edits to a must go through SetWidth/SetGateVts/Refresh, and
-// bound accessors reflect a's current state. Bind replaces any prior binding.
+// subsequent edits to a must go through SetWidth, and bound accessors reflect
+// a's current state. Bind replaces any prior binding.
 func (e *Engine) Bind(a *design.Assignment) {
 	n := e.C.N()
 	e.bound = a
@@ -49,9 +48,6 @@ func (e *Engine) Bind(a *design.Assignment) {
 
 // Unbind detaches the engine from its bound assignment.
 func (e *Engine) Unbind() { e.bound = nil }
-
-// Bound returns the currently bound assignment, or nil.
-func (e *Engine) Bound() *design.Assignment { return e.bound }
 
 // refreshAll recomputes the whole tracked state from the bound assignment.
 //
@@ -97,60 +93,12 @@ func (e *Engine) SetWidth(id int, w float64) {
 	e.propagate()
 }
 
-// SetGateVts sets the bound assignment's threshold of gate id and
-// incrementally re-evaluates its delay cone and its (static) energy.
-//
-//cmosvet:hotpath
-//cmosvet:unit vts V
-func (e *Engine) SetGateVts(id int, vts float64) {
-	a := e.bound
-	if a.Vts[id] == vts {
-		return
-	}
-	a.Vts[id] = vts
-	e.met.IncrementalEdits++
-	e.push(id)
-	e.refreshEnergy(id)
-	e.propagate()
-}
-
-// SetVdd sets the bound assignment's global supply and refreshes the whole
-// tracked state (every gate's delay and energy depends on V_dd).
-//
-//cmosvet:unit vdd V
-func (e *Engine) SetVdd(vdd float64) {
-	e.bound.Vdd = vdd
-	e.met.IncrementalEdits++
-	e.refreshAll()
-}
-
-// SetUniformVts sets every gate's threshold and refreshes the whole tracked
-// state.
-//
-//cmosvet:unit vts V
-func (e *Engine) SetUniformVts(vts float64) {
-	e.bound.SetVts(vts)
-	e.met.IncrementalEdits++
-	e.refreshAll()
-}
-
-// Refresh recomputes all tracked state — for callers that edited the bound
-// assignment directly (bulk edits where incremental updates would not pay).
-func (e *Engine) Refresh() { e.refreshAll() }
-
 // BoundDelays returns the tracked per-gate delays (engine-owned; do not
 // modify; valid until the next edit).
 //
 //cmosvet:hotpath
 //cmosvet:unit return s
 func (e *Engine) BoundDelays() []float64 { return e.curTd }
-
-// BoundArrivals returns the tracked per-gate worst arrival times
-// (engine-owned; do not modify; valid until the next edit).
-//
-//cmosvet:hotpath
-//cmosvet:unit return s
-func (e *Engine) BoundArrivals() []float64 { return e.curArr }
 
 // BoundCriticalDelay returns the tracked critical delay — a max over primary
 // outputs, no model calls.
@@ -179,13 +127,6 @@ func (e *Engine) BoundEnergy() power.Breakdown {
 		sum.Dynamic += e.dyE[i]
 	}
 	return sum
-}
-
-// BoundGateEnergy returns the tracked energy breakdown of one gate.
-//
-//cmosvet:hotpath
-func (e *Engine) BoundGateEnergy(id int) power.Breakdown {
-	return power.Breakdown{Static: e.stE[id], Dynamic: e.dyE[id]}
 }
 
 // BoundSlacks computes slacks against cycle budget T from the tracked delays

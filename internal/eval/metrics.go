@@ -11,7 +11,7 @@ type Metrics struct {
 	FullDelaySweeps  int64 // whole-circuit delay computations (Delays/Arrivals/…)
 	FullEnergySweeps int64 // whole-circuit energy computations (Energy)
 	WidthProbes      int64 // width-override probes (ProbeWidth, GateDelayOverride)
-	IncrementalEdits int64 // bound-assignment edits (SetWidth, SetGateVts, …)
+	IncrementalEdits int64 // bound-assignment width edits (SetWidth)
 	DirtyGates       int64 // gates re-evaluated by incremental propagation
 	CoeffHits        int64 // device-coefficient cache hits
 	CoeffMisses      int64 // device-coefficient cache misses (transcendental work)

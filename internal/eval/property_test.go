@@ -22,12 +22,12 @@ func relClose(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-12*scale
 }
 
-// TestIncrementalMatchesFull drives random edit sequences (widths, per-gate
-// thresholds, global supply and threshold moves) against bound engines on
-// random circuits and checks after every edit that the incrementally
-// maintained state matches a from-scratch recomputation within 1e-12
-// relative tolerance: per-gate delays, arrivals, critical delay, slacks and
-// the energy breakdown.
+// TestIncrementalMatchesFull drives random width edits against bound engines
+// on random circuits, interleaved with re-binds after per-gate threshold,
+// global supply and uniform threshold moves, and checks after every step
+// that the incrementally maintained state matches a from-scratch
+// recomputation within 1e-12 relative tolerance: per-gate delays, arrivals,
+// critical delay, slacks and the energy breakdown.
 func TestIncrementalMatchesFull(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
@@ -56,16 +56,19 @@ func TestIncrementalMatchesFull(t *testing.T) {
 				case 0, 1, 2: // width edits dominate real optimizer traffic
 					eng.SetWidth(id, randW())
 				case 3:
-					eng.SetGateVts(id, randVts())
+					a.Vts[id] = randVts()
+					eng.Bind(a)
 				case 4:
-					eng.SetVdd(randVdd())
+					a.Vdd = randVdd()
+					eng.Bind(a)
 				default:
-					eng.SetUniformVts(randVts())
+					a.SetVts(randVts())
+					eng.Bind(a)
 				}
 
 				// Reference: the pure model evaluators, from scratch.
 				wantArr, wantTd := dm.Arrivals(a)
-				gotTd, gotArr := eng.BoundDelays(), eng.BoundArrivals()
+				gotTd, gotArr := eng.BoundDelays(), eng.curArr
 				for i := range wantTd {
 					if !relClose(gotTd[i], wantTd[i]) {
 						t.Fatalf("seed %d step %d: gate %d delay %v, want %v", seed, step, i, gotTd[i], wantTd[i])

@@ -121,9 +121,6 @@ func (e *Evaluator) OutputLoad(id int, a *design.Assignment) float64 {
 	return load
 }
 
-// IsPO reports whether the gate drives a primary output of the module.
-func (e *Evaluator) IsPO(id int) bool { return e.isPO[id] }
-
 // Total returns the whole-network per-cycle energy breakdown (the paper's
 // cost function Σ E_si + E_di).
 func (e *Evaluator) Total(a *design.Assignment) Breakdown {

@@ -110,13 +110,6 @@ func TestPOGetsExternalLoad(t *testing.T) {
 	if got, want := ev.OutputLoad(h.ID, a), tech.COut+cb; math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("PO load = %v, want %v", got, want)
 	}
-	if !ev.IsPO(h.ID) {
-		t.Error("h should be a PO")
-	}
-	g := c.GateByName("g")
-	if ev.IsPO(g.ID) {
-		t.Error("g should not be a PO")
-	}
 }
 
 func TestTotalSumsGates(t *testing.T) {

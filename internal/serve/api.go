@@ -17,7 +17,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
+	"cmosopt/internal/core"
 	"cmosopt/internal/obs"
 )
 
@@ -73,11 +75,6 @@ const (
 	KindSweep    = "sweep"
 )
 
-var optimizeModes = map[string]bool{
-	"joint": true, "baseline": true, "anneal": true,
-	"multivt": true, "dualvdd": true, "sensitivity": true,
-}
-
 // normalize fills defaults in place and rejects invalid requests. It must
 // be canonicalizing: two requests that mean the same job end up field-for-
 // field equal, so their cache keys collide by construction.
@@ -100,15 +97,15 @@ func (r *Request) normalize() error {
 	switch r.Kind {
 	case KindOptimize:
 		if r.Mode == "" {
-			r.Mode = "joint"
+			r.Mode = core.ModeJoint
 		}
-		if !optimizeModes[r.Mode] {
+		if !slices.Contains(core.Modes, r.Mode) {
 			return fmt.Errorf("unknown mode %q", r.Mode)
 		}
-		if r.Mode == "multivt" && r.NV == 0 {
+		if r.Mode == core.ModeMultiVt && r.NV == 0 {
 			r.NV = 2
 		}
-		if r.Mode != "multivt" && r.NV != 0 {
+		if r.Mode != core.ModeMultiVt && r.NV != 0 {
 			return fmt.Errorf("nv is a multivt option")
 		}
 		if r.FcHz == 0 {

@@ -108,13 +108,6 @@ func (c *Client) SubmitWait(ctx context.Context, req *Request) (JobStatus, error
 	return st, err
 }
 
-// Job fetches a job's current status.
-func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
 // Wait blocks until the job is terminal and returns its final status.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus

@@ -163,10 +163,10 @@ func TestGlitchVisibilityAndInertialFiltering(t *testing.T) {
 	if s.Value(yf) || s.Value(ys) {
 		t.Error("outputs must return to 0")
 	}
-	if got := s.Transitions(yf); got != 0 {
+	if got := s.trans[yf]; got != 0 {
 		t.Errorf("fast path transitions = %d, want 0 (inertially filtered)", got)
 	}
-	if got := s.Transitions(ys); got != 2 {
+	if got := s.trans[ys]; got != 2 {
 		t.Errorf("slow path transitions = %d, want 2 (visible glitch)", got)
 	}
 }
@@ -270,7 +270,7 @@ func TestPowerTrace(t *testing.T) {
 	// equals transitions x per-transition energy.
 	var wantE float64
 	for i := range c.Gates {
-		wantE += float64(s.Transitions(i)) * se[i]
+		wantE += float64(s.trans[i]) * se[i]
 	}
 	gotE := 0.0
 	for _, p := range trace {

@@ -122,28 +122,11 @@ func (m *Model) computeMean() float64 {
 	return num / den
 }
 
-// MeanPitches returns the expected point-to-point connection length in gate
-// pitches.
-//
-//cmosvet:unit return 1
-func (m *Model) MeanPitches() float64 { return m.meanPitches }
-
 // BranchLength returns the expected length in meters of one fanout branch
 // (one point-to-point connection of a net).
 //
 //cmosvet:unit return m
 func (m *Model) BranchLength() float64 { return m.meanPitches * m.P.GatePitch }
-
-// NetLength returns the expected total routed length of a net with the given
-// fanout, modeled as a star of point-to-point branches.
-//
-//cmosvet:unit return m
-func (m *Model) NetLength(fanout int) float64 {
-	if fanout < 1 {
-		fanout = 1
-	}
-	return float64(fanout) * m.BranchLength()
-}
 
 // BranchCap returns C_INTij: the interconnect capacitance of one fanout
 // branch (F).
@@ -161,12 +144,6 @@ func (m *Model) BranchRes() float64 { return m.BranchLength() * m.P.RPerLen }
 //
 //cmosvet:unit return s
 func (m *Model) FlightTime() float64 { return m.BranchLength() / m.P.Velocity }
-
-// RCDelay returns the distributed RC delay of one fanout branch (s), using
-// the 0.5·R·C distributed-line factor: (V/A)·F composes to s.
-//
-//cmosvet:unit return s
-func (m *Model) RCDelay() float64 { return 0.5 * m.BranchRes() * m.BranchCap() }
 
 // DieEdge returns the edge length of the (square) placement region implied
 // by the gate count and pitch (m).

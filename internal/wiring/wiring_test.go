@@ -85,7 +85,7 @@ func TestMeanPitchesBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mean := m.MeanPitches()
+		mean := m.meanPitches
 		return mean >= 1 && mean <= 2*math.Sqrt(float64(n))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -98,9 +98,9 @@ func TestMeanGrowsWithNForHighRent(t *testing.T) {
 	p.RentP = 0.7
 	small, _ := New(p, 100)
 	large, _ := New(p, 10000)
-	if large.MeanPitches() <= small.MeanPitches() {
+	if large.meanPitches <= small.meanPitches {
 		t.Errorf("mean should grow with N for p=0.7: %v vs %v",
-			small.MeanPitches(), large.MeanPitches())
+			small.meanPitches, large.meanPitches)
 	}
 }
 
@@ -109,9 +109,9 @@ func TestHigherRentExponentLongerWires(t *testing.T) {
 	lo.RentP, hi.RentP = 0.45, 0.75
 	ml, _ := New(lo, 2000)
 	mh, _ := New(hi, 2000)
-	if mh.MeanPitches() <= ml.MeanPitches() {
+	if mh.meanPitches <= ml.meanPitches {
 		t.Errorf("p=0.75 should give longer wires than p=0.45: %v vs %v",
-			mh.MeanPitches(), ml.MeanPitches())
+			mh.meanPitches, ml.meanPitches)
 	}
 }
 
@@ -121,12 +121,6 @@ func TestDerivedQuantities(t *testing.T) {
 	if bl <= 0 {
 		t.Fatal("non-positive branch length")
 	}
-	if got := m.NetLength(3); math.Abs(got-3*bl) > 1e-18 {
-		t.Errorf("NetLength(3) = %v, want %v", got, 3*bl)
-	}
-	if got := m.NetLength(0); got != bl {
-		t.Errorf("NetLength(0) should clamp to one branch, got %v", got)
-	}
 	if got := m.BranchCap(); math.Abs(got-bl*m.P.CPerLen) > 1e-30 {
 		t.Errorf("BranchCap = %v", got)
 	}
@@ -135,9 +129,6 @@ func TestDerivedQuantities(t *testing.T) {
 	}
 	if got := m.FlightTime(); math.Abs(got-bl/m.P.Velocity) > 1e-24 {
 		t.Errorf("FlightTime = %v", got)
-	}
-	if got := m.RCDelay(); math.Abs(got-0.5*m.BranchRes()*m.BranchCap()) > 1e-30 {
-		t.Errorf("RCDelay = %v", got)
 	}
 }
 
