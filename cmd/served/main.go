@@ -69,7 +69,7 @@ func run(args []string, out *os.File) error {
 	cache := fs.Int("cache", 256, "content-addressed result cache entries")
 	netlists := fs.Int("netlists", 64, "uploaded-netlist store entries")
 	retain := fs.Int("retain", 1024, "terminal jobs kept queryable")
-	deadline := fs.Duration("deadline", 0, "default per-job deadline (0 = unbounded; requests may set their own)")
+	deadline := fs.Duration("deadline", 0, "per-job deadline; requests may set a shorter one (0 = unbounded)")
 	grace := fs.Duration("grace", 30*time.Second, "shutdown drain budget")
 	var obsf cli.ObsFlags
 	obsf.Register(fs)

@@ -93,6 +93,7 @@ type Engine struct {
 	dyE     []float64 //cmosvet:unit J
 	dirty   []int     // binary heap of gate IDs ordered by rank
 	inDirty []bool
+	retimed []int // gates whose delay the last SetWidth changed
 
 	met Metrics
 

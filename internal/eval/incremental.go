@@ -24,9 +24,9 @@ import (
 // (the eval property test pins this down).
 //
 // Bound accessors (BoundDelays, BoundCriticalDelay, BoundEnergy,
-// BoundSlacks) read the tracked state without touching the device model; the
-// full-evaluation APIs in eval.go keep working while bound because they use
-// separate scratch.
+// BoundSlacks, BoundRetimed) read the tracked state without touching the
+// device model; the full-evaluation APIs in eval.go keep working while bound
+// because they use separate scratch.
 
 // Bind attaches the engine to a for incremental evaluation and performs the
 // initial full delay + energy computation. The engine holds a reference: all
@@ -40,9 +40,11 @@ func (e *Engine) Bind(a *design.Assignment) {
 		e.curArr = make([]float64, n)
 		e.inDirty = make([]bool, n)
 		e.dirty = make([]int, 0, 64)
+		e.retimed = make([]int, 0, 64)
 		e.stE = make([]float64, n)
 		e.dyE = make([]float64, n)
 	}
+	e.retimed = e.retimed[:0]
 	e.refreshAll()
 }
 
@@ -77,6 +79,7 @@ func (e *Engine) refreshEnergy(id int) {
 //cmosvet:unit w 1
 func (e *Engine) SetWidth(id int, w float64) {
 	a := e.bound
+	e.retimed = e.retimed[:0]
 	if a.W[id] == w {
 		return
 	}
@@ -99,6 +102,13 @@ func (e *Engine) SetWidth(id int, w float64) {
 //cmosvet:hotpath
 //cmosvet:unit return s
 func (e *Engine) BoundDelays() []float64 { return e.curTd }
+
+// BoundRetimed returns the gates whose tracked delay the last SetWidth
+// changed, in the order it re-timed them; empty after Bind or a same-width
+// edit. Engine scratch: do not modify; valid until the next edit.
+//
+//cmosvet:hotpath
+func (e *Engine) BoundRetimed() []int { return e.retimed }
 
 // BoundCriticalDelay returns the tracked critical delay — a max over primary
 // outputs, no model calls.
@@ -227,6 +237,9 @@ func (e *Engine) propagate() {
 		newArr := maxArr + newTd
 		if newTd == e.curTd[id] && newArr == e.curArr[id] {
 			continue
+		}
+		if newTd != e.curTd[id] {
+			e.retimed = append(e.retimed, id)
 		}
 		e.curTd[id], e.curArr[id] = newTd, newArr
 		for _, f := range cs.Fanouts(int32(id)) {

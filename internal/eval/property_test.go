@@ -162,3 +162,51 @@ func TestIncrementalSkipsUntouchedCone(t *testing.T) {
 		t.Errorf("incremental edit triggered %d full sweeps", m.FullDelaySweeps)
 	}
 }
+
+// TestBoundRetimedMatchesDelayDiff checks BoundRetimed against a snapshot
+// diff: after every random width edit on a bound s298 assignment, the gates
+// it reports are exactly those whose tracked delay changed, each once, and a
+// same-width edit reports none.
+func TestBoundRetimedMatchesDelayDiff(t *testing.T) {
+	eng, n := levelizedCase(t, "s298", 0)
+	tech := eng.Tech
+	rng := rand.New(rand.NewSource(7))
+	a := design.Uniform(n, 1.2, 0.25, tech.WMin)
+	eng.Bind(a)
+	if got := eng.BoundRetimed(); len(got) != 0 {
+		t.Fatalf("fresh binding reports re-timed gates %v", got)
+	}
+	before := make([]float64, n)
+	seen := make([]bool, n)
+	retimed := 0
+	for step := 0; step < 400; step++ {
+		id := rng.Intn(n)
+		w := tech.WMin + rng.Float64()*(tech.WMax-tech.WMin)
+		if step%7 == 0 {
+			w = a.W[id] // a same-width edit changes nothing
+		}
+		copy(before, eng.BoundDelays())
+		eng.SetWidth(id, w)
+		got, after := eng.BoundRetimed(), eng.BoundDelays()
+		retimed += len(got)
+		clear(seen)
+		for _, g := range got {
+			if seen[g] {
+				t.Fatalf("step %d: gate %d reported twice in %v", step, g, got)
+			}
+			seen[g] = true
+		}
+		for g := range after {
+			if changed := after[g] != before[g]; changed != seen[g] {
+				t.Fatalf("step %d (gate %d, w %v): gate %d delay %v -> %v, reported %v",
+					step, id, w, g, before[g], after[g], seen[g])
+			}
+		}
+		if step%7 == 0 && len(got) != 0 {
+			t.Fatalf("step %d: same-width edit reports %v", step, got)
+		}
+	}
+	if retimed == 0 {
+		t.Fatal("no edit re-timed any gate; the check is vacuous")
+	}
+}

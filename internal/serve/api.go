@@ -61,7 +61,7 @@ type Request struct {
 	Tech string `json:"tech,omitempty"`
 
 	// Execution controls — never part of the cache key.
-	TimeoutMS int  `json:"timeout_ms,omitempty"` // per-job deadline (0 = server default)
+	TimeoutMS int  `json:"timeout_ms,omitempty"` // per-job deadline, capped by the server's (0 = server default)
 	NoCache   bool `json:"nocache,omitempty"`    // bypass the result cache entirely
 
 	// benchText is the resolved netlist text (inline Bench or an uploaded

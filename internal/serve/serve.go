@@ -34,8 +34,9 @@ type Config struct {
 	// RetainJobs bounds how many terminal jobs stay queryable; older ones
 	// are forgotten in submission order. Default 1024.
 	RetainJobs int
-	// DefaultTimeout caps each job's run when the request carries no
-	// timeout_ms of its own. 0 means unbounded.
+	// DefaultTimeout caps each job's run. A request's timeout_ms may
+	// shorten it but not extend it. 0 means unbounded, in which case
+	// timeout_ms alone bounds the job.
 	DefaultTimeout time.Duration
 	// ProgressInterval is the SSE span-snapshot poll period. Default 100ms.
 	ProgressInterval time.Duration
@@ -256,7 +257,9 @@ func (s *Server) newJobLocked(req *Request, key string) *job {
 	s.nextID++
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		if own := time.Duration(req.TimeoutMS) * time.Millisecond; timeout <= 0 || own < timeout {
+			timeout = own
+		}
 	}
 	// Exactly one child context of baseCtx per job, so j.cancel detaches
 	// everything the job registered there.

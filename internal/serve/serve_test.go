@@ -257,6 +257,36 @@ func TestJobCancelReleasesBaseContext(t *testing.T) {
 	}
 }
 
+// A server deadline caps a request's own timeout_ms instead of yielding to
+// it, so no client can pin an executor past the server's bound; a shorter
+// timeout_ms still wins.
+func TestServerDeadlineCapsRequestTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		def       time.Duration
+		timeoutMS int
+		want      time.Duration
+	}{
+		{"longer request capped", 50 * time.Millisecond, 60_000, 50 * time.Millisecond},
+		{"shorter request kept", time.Minute, 20, 20 * time.Millisecond},
+		{"no server deadline", 0, 60_000, time.Minute},
+	} {
+		s := &Server{cfg: Config{DefaultTimeout: tc.def}, baseCtx: context.Background()}
+		start := time.Now()
+		j := s.newJobLocked(&Request{Circuit: "s27", TimeoutMS: tc.timeoutMS}, "")
+		end := time.Now()
+		dl, ok := j.ctx.Deadline()
+		j.cancel()
+		if !ok {
+			t.Fatalf("%s: job has no deadline", tc.name)
+		}
+		// newJobLocked starts the job's clock between start and end.
+		if dl.Before(start.Add(tc.want)) || dl.After(end.Add(tc.want)) {
+			t.Errorf("%s: job deadline %v after submission, want %v", tc.name, dl.Sub(start), tc.want)
+		}
+	}
+}
+
 // Cache keying end to end: an identical request is a hit (runner not
 // invoked), a different constraint is a miss, nocache bypasses entirely.
 func TestResultCacheHitMissKeying(t *testing.T) {
