@@ -1,27 +1,18 @@
-// Command loadgen drives a running served instance, in two modes.
-//
-// Smoke mode (-smoke) is the correctness end-to-end the serve-e2e CI job
-// runs: it submits a sweep and asserts the served bytes are identical to
-// the offline cmd/sweep rendering computed in-process, replays the request
-// to prove a cache hit returns the same bytes, cancels a mid-flight
-// 100k-gate job and checks it resolves promptly as canceled, fills the
-// admission queue until the server answers 429 + Retry-After, drains it,
-// and verifies the server accepts work again.
-//
-// Load mode (default) measures the serving pipeline: -n requests at -c
-// concurrency, once uncached (every request runs the real optimizer) and
-// once against the result cache, reporting p50/p99 latency and sustained
-// ns/request. With -o the measurements land in a cmosopt/manifest/v1
-// manifest as Loadgen/* benchmark records, the same currency the CI
-// bench-regress gate compares with cmd/benchdiff.
+// Command loadgen is the end-to-end suite the serve-e2e CI job runs against
+// a running served instance. It submits a sweep and asserts the served
+// bytes are identical to the offline cmd/sweep rendering computed
+// in-process, replays the request to prove a cache hit returns the same
+// bytes, checks the SSE progress stream, cancels a mid-flight 100k-gate job
+// and checks it resolves promptly as canceled, fills the admission queue
+// until the server answers 429 + Retry-After, drains it, and verifies the
+// server accepts work again.
 //
 // Usage:
 //
-//	loadgen -addr http://127.0.0.1:8080 -smoke
-//	loadgen -addr http://127.0.0.1:8080 [-n 32] [-c 4] [-circuit s27] [-o load.json]
+//	loadgen -addr http://127.0.0.1:8080 [-circuit s27] [-points 3] [-heavy s100k]
 //
-// All wall-clock measurement lives here, outside the deterministic core:
-// the server and engine never read the clock for anything they return.
+// Serving latency and throughput are measured by perfbench's serve
+// workload, not here.
 package main
 
 import (
@@ -34,7 +25,6 @@ import (
 	"log"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"cmosopt/internal/cli"
@@ -53,26 +43,17 @@ func main() {
 
 type config struct {
 	client  *serve.Client
-	smoke   bool
-	n       int
-	c       int
 	circuit string
 	heavy   string
 	points  int
-	out     string
-	warmup  time.Duration
 }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "served base URL")
-	smoke := fs.Bool("smoke", false, "run the end-to-end correctness suite instead of a load run")
-	n := fs.Int("n", 32, "requests per load batch")
-	c := fs.Int("c", 4, "concurrent requests")
-	circuitName := fs.String("circuit", "s27", "benchmark circuit for load requests")
+	circuitName := fs.String("circuit", "s27", "benchmark circuit for the sweep requests")
 	heavy := fs.String("heavy", "s100k", "long-running circuit for cancellation and queue-fill probes")
-	points := fs.Int("points", 3, "sweep points per load request")
-	o := fs.String("o", "", "write measurements as a manifest JSON here")
+	points := fs.Int("points", 3, "sweep points per request")
 	warmup := fs.Duration("warmup", 30*time.Second, "how long to wait for the server to become healthy")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,22 +63,14 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg := config{
 		client:  &serve.Client{BaseURL: *addr},
-		smoke:   *smoke,
-		n:       *n,
-		c:       *c,
 		circuit: *circuitName,
 		heavy:   *heavy,
 		points:  *points,
-		out:     *o,
-		warmup:  *warmup,
 	}
-	if err := waitHealthy(cfg.client, cfg.warmup); err != nil {
+	if err := waitHealthy(cfg.client, *warmup); err != nil {
 		return err
 	}
-	if cfg.smoke {
-		return runSmoke(cfg, out)
-	}
-	return runLoad(cfg, out)
+	return runSmoke(cfg, out)
 }
 
 // waitHealthy polls /healthz until the server answers; the launcher (CI or
@@ -118,7 +91,7 @@ func waitHealthy(c *serve.Client, budget time.Duration) error {
 	}
 }
 
-// sweepRequest is the canonical small request both modes submit.
+// sweepRequest is the canonical small request the suite submits.
 func sweepRequest(circuit string, points int, nocache bool) *serve.Request {
 	return &serve.Request{
 		Kind: serve.KindSweep, Circuit: circuit,
@@ -144,8 +117,6 @@ func offlineSweep(circuit string, points int) (string, error) {
 	}
 	return buf.String(), nil
 }
-
-// --- smoke mode ---
 
 func runSmoke(cfg config, out io.Writer) error {
 	ctx := context.Background()
@@ -304,98 +275,5 @@ func smokeQueueFull(ctx context.Context, cfg config, out io.Writer) error {
 		return fmt.Errorf("post-drain job ended %s", again.State)
 	}
 	fmt.Fprintf(out, "ok  drain           queue drained, server accepting again\n")
-	return nil
-}
-
-// --- load mode ---
-
-// batch fires n requests at concurrency c and returns each request's
-// latency plus the batch wall time.
-func batch(ctx context.Context, c *serve.Client, n, conc int, mk func(int) *serve.Request) ([]time.Duration, time.Duration, error) {
-	lat := make([]time.Duration, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, conc)
-	begin := time.Now()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			t0 := time.Now()
-			st, err := c.SubmitWait(ctx, mk(i))
-			lat[i] = time.Since(t0)
-			if err != nil {
-				errs[i] = err
-			} else if st.State != serve.StateDone {
-				errs[i] = fmt.Errorf("request %d ended %s: %s", i, st.State, st.Error)
-			}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(begin)
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return lat, wall, nil
-}
-
-func runLoad(cfg config, out io.Writer) error {
-	ctx := context.Background()
-	man := obs.NewManifest("loadgen")
-	man.Circuit = cfg.circuit
-	man.Workers = cfg.c
-
-	report := func(label string, lat []time.Duration, wall time.Duration) error {
-		s, err := serve.Summarize(lat)
-		if err != nil {
-			return err
-		}
-		perReq := wall / time.Duration(s.N)
-		fmt.Fprintf(out, "%-8s n=%d c=%d  p50 %s  p99 %s  max %s  %s/req sustained\n",
-			label, s.N, cfg.c, s.P50.Round(time.Microsecond), s.P99.Round(time.Microsecond),
-			s.Max.Round(time.Microsecond), perReq.Round(time.Microsecond))
-		man.Benchmarks = append(man.Benchmarks,
-			obs.BenchRecord{Name: "Loadgen/" + label + "/p50", Runs: s.N, Samples: s.N, NsPerOp: float64(s.P50.Nanoseconds())},
-			obs.BenchRecord{Name: "Loadgen/" + label + "/p99", Runs: s.N, Samples: s.N, NsPerOp: float64(s.P99.Nanoseconds())},
-			obs.BenchRecord{Name: "Loadgen/" + label + "/ns_per_req", Runs: s.N, Samples: s.N, NsPerOp: float64(perReq.Nanoseconds())},
-		)
-		return nil
-	}
-
-	// Uncached: every request runs the full optimizer pipeline.
-	lat, wall, err := batch(ctx, cfg.client, cfg.n, cfg.c, func(int) *serve.Request {
-		return sweepRequest(cfg.circuit, cfg.points, true)
-	})
-	if err != nil {
-		return fmt.Errorf("uncached batch: %w", err)
-	}
-	if err := report("sweep", lat, wall); err != nil {
-		return err
-	}
-
-	// Cached: prime once, then measure pure front-door + cache latency.
-	if _, err := cfg.client.SubmitWait(ctx, sweepRequest(cfg.circuit, cfg.points, false)); err != nil {
-		return fmt.Errorf("cache prime: %w", err)
-	}
-	lat, wall, err = batch(ctx, cfg.client, cfg.n, cfg.c, func(int) *serve.Request {
-		return sweepRequest(cfg.circuit, cfg.points, false)
-	})
-	if err != nil {
-		return fmt.Errorf("cached batch: %w", err)
-	}
-	if err := report("cached", lat, wall); err != nil {
-		return err
-	}
-
-	if cfg.out != "" {
-		if err := man.WriteFile(cfg.out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s (%d benchmark records)\n", cfg.out, len(man.Benchmarks))
-	}
 	return nil
 }

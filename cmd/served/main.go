@@ -10,16 +10,18 @@
 // Every number the server returns is produced by the same internal/core
 // pipeline the offline tools use; for identical requests the response body
 // is byte-identical to the offline tool's stdout (the serve-e2e CI job
-// asserts this with cmd/loadgen -smoke).
+// asserts this with cmd/loadgen).
 //
 // Usage:
 //
 //	served [-addr 127.0.0.1:8080] [-addrfile path] [-queue 16] [-executors 2]
-//	       [-workers 1] [-cache 256] [-retain 1024] [-deadline 0]
+//	       [-workers 1] [-cache 256] [-retain 1024] [-deadline 20m]
 //	       [-metrics out.json] [-pprof localhost:6060]
 //
 // -addr 127.0.0.1:0 picks a free port; -addrfile writes the bound address
 // for the launcher (how the CI job finds its randomly-ported server).
+// -deadline caps every job, including a request's own timeout_ms; -deadline 0
+// leaves jobs unbounded.
 // SIGINT/SIGTERM drains gracefully: admissions stop, in-flight jobs are
 // canceled, and the server exits 0.
 //
@@ -69,7 +71,9 @@ func run(args []string, out *os.File) error {
 	cache := fs.Int("cache", 256, "content-addressed result cache entries")
 	netlists := fs.Int("netlists", 64, "uploaded-netlist store entries")
 	retain := fs.Int("retain", 1024, "terminal jobs kept queryable")
-	deadline := fs.Duration("deadline", 0, "per-job deadline; requests may set a shorter one (0 = unbounded)")
+	// The slowest built-in job at default options, s1m joint at 300 MHz,
+	// takes about 500 s on a 2-vCPU host; the default allows over twice that.
+	deadline := fs.Duration("deadline", 20*time.Minute, "per-job deadline; requests may set a shorter one (0 = unbounded)")
 	grace := fs.Duration("grace", 30*time.Second, "shutdown drain budget")
 	var obsf cli.ObsFlags
 	obsf.Register(fs)

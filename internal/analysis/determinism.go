@@ -13,8 +13,8 @@ import (
 // aggregated tables) are part of the same byte-identical guarantee,
 // internal/circuit and internal/timing, whose CSR core and levelized sweeps
 // every deterministic result is computed over, and internal/serve, whose
-// responses must be byte-identical to the offline tools' output (all
-// wall-clock measurement belongs to cmd/loadgen, outside the server) — it
+// responses must be byte-identical to the offline tools' output (serving
+// latency is measured from outside the server, by perfbench) — it
 // flags, outside *_test.go files:
 //
 //   - time.Now / time.Since: wall-clock must never influence a result.

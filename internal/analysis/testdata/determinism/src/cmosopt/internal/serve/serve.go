@@ -7,7 +7,7 @@ package serve
 import "time"
 
 // Latency measures a request — forbidden here; wall-clock measurement
-// belongs to cmd/loadgen, outside the deterministic scope.
+// belongs to a client outside the deterministic scope.
 func Latency() time.Duration {
 	t0 := time.Now() // want `time.Now in a deterministic package`
 	handle()

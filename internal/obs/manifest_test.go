@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -38,9 +39,6 @@ func goldenManifest() *Manifest {
 			CriticalDelayS: 3.2e-9,
 			Feasible:       true,
 			Evaluations:    5543,
-		}},
-		Benchmarks: []BenchRecord{{
-			Name: "BenchmarkProcedure2", Runs: 9, NsPerOp: 17125776, Samples: 3,
 		}},
 		Obs: &Snapshot{
 			WallNS:   1234567,
@@ -96,24 +94,12 @@ func TestManifestGolden(t *testing.T) {
 		t.Errorf("serialized manifest diverged from %s:\n--- got ---\n%s", golden, got)
 	}
 
-	back, err := ReadManifest(path)
-	if err != nil {
+	var back Manifest
+	if err := json.Unmarshal(got, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back, goldenManifest()) {
+	if !reflect.DeepEqual(&back, goldenManifest()) {
 		t.Errorf("round-trip changed the manifest:\ngot  %+v\nwant %+v", back, goldenManifest())
-	}
-}
-
-func TestReadManifestRejectsWrongSchema(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	m := goldenManifest()
-	m.Schema = "cmosopt/manifest/v0"
-	if err := m.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(path); err == nil {
-		t.Fatal("ReadManifest accepted a wrong schema version")
 	}
 }
 
